@@ -16,13 +16,15 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
-from .ensemble import run_ensemble, trajectory_seed
+from .ensemble import TRAJECTORY_ROWS, run_ensemble
 from .entropy import BOUND_SIGN_TOL, build_bound_report, entropy_rate_bound
-from .integrate import IntegrationError, simulate_trajectory
+from .integrate import IntegrationError
+from .integrate import simulate_trajectory  # noqa: F401  bench/tracer.py counts calls made here
 from .linalg import ValidationError
 from .qubit import (
     QubitScenario,
@@ -112,44 +114,30 @@ def _ensure_outdir(path: str) -> None:
     os.makedirs(path, exist_ok=True)
 
 
+def _row(t, rho: np.ndarray, *values) -> list[str]:
+    return [_fmt(t)] + _state_cells(rho) + [_fmt(v) for v in values]
+
+
 def _write_ensemble_csv(cfg: RunConfig, stats) -> str:
-    dim = cfg.model.dim
-    header = ["t"] + _state_columns(dim) + ["S_mean", "S_se", "quantumness_mean"]
-    rows = []
-    for k, t in enumerate(stats.times):
-        rows.append(
-            [_fmt(t)] + _state_cells(stats.mean_state[k]) + [
-                _fmt(stats.mean_entropy[k]),
-                _fmt(stats.entropy_se[k]),
-                _fmt(stats.quantumness_mean[k]),
-            ]
-        )
+    header = ["t"] + _state_columns(cfg.model.dim) + ["S_mean", "S_se", "quantumness_mean"]
+    rows = [
+        _row(t, stats.mean_state[k], stats.mean_entropy[k], stats.entropy_se[k],
+             stats.quantumness_mean[k])
+        for k, t in enumerate(stats.times)
+    ]
     path = os.path.join(cfg.output_path, "ensemble.csv")
     _write_csv(path, header, rows)
     return path
 
 
-def _write_trajectory_csvs(cfg: RunConfig) -> None:
-    dim = cfg.model.dim
-    header = ["t"] + _state_columns(dim) + ["S", "dW", "repair", "y"]
-    ens = cfg.ensemble
-    for index in range(ens.n_trajectories):
-        rec = simulate_trajectory(
-            cfg.model, cfg.initial_state, ens.integrator,
-            trajectory_seed(ens.master_seed, index),
-        )
-        rows = []
-        for k, t in enumerate(rec.times):
-            rows.append(
-                [_fmt(t)] + _state_cells(rec.states[k]) + [
-                    _fmt(rec.entropies[k]),
-                    _fmt(rec.dW_draws[k]),
-                    _fmt(rec.repair_magnitudes[k]),
-                    _fmt(rec.measurement_record[k]),
-                ]
-            )
+def _write_trajectory_csvs(cfg: RunConfig, start: int, times, rows: dict) -> None:
+    """Trajectory sink of ``run_ensemble``: one CSV per row of a chunk."""
+    header = ["t"] + _state_columns(cfg.model.dim) + ["S", "dW", "repair", "y"]
+    for b in range(rows["states"].shape[1]):
+        lines = [_row(t, *(rows[key][k, b] for key in TRAJECTORY_ROWS))
+                 for k, t in enumerate(times)]
         _write_csv(
-            os.path.join(cfg.output_path, f"trajectory_{index:05d}.csv"), header, rows
+            os.path.join(cfg.output_path, f"trajectory_{start + b:05d}.csv"), header, lines
         )
 
 
@@ -174,11 +162,10 @@ def _write_bound_csv(cfg: RunConfig, report) -> str:
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     _ensure_outdir(cfg.output_path)
-    stats = run_ensemble(cfg.model, cfg.initial_state, cfg.ensemble)
+    sink = partial(_write_trajectory_csvs, cfg) if "trajectories" in cfg.emit else None
+    stats = run_ensemble(cfg.model, cfg.initial_state, cfg.ensemble, trajectory_sink=sink)
     if "ensemble" in cfg.emit:
         print(_write_ensemble_csv(cfg, stats))
-    if "trajectories" in cfg.emit:
-        _write_trajectory_csvs(cfg)
     if "bound_report" in cfg.emit:
         report = build_bound_report(cfg.model, stats)
         print(_write_bound_csv(cfg, report))
@@ -211,6 +198,11 @@ def cmd_sweep_alpha(args) -> int:
         raise ConfigError("sweep-alpha requires a qubit scenario config")
     if cfg.alphas is None:
         raise ConfigError("sweep-alpha requires sweep.alphas in the config")
+    if cfg.scenario.control.kind != "zero":
+        raise ConfigError(
+            "sweep-alpha evaluates the mean path in closed form for zero control "
+            f"only; scenario.control has kind {cfg.scenario.control.kind!r}"
+        )
     _ensure_outdir(cfg.output_path)
     integ = cfg.ensemble.integrator
     b0 = density_to_bloch(cfg.initial_state)
@@ -222,9 +214,7 @@ def cmd_sweep_alpha(args) -> int:
     for alpha in cfg.alphas:
         # The mean-state path is evaluated in closed form (zero control):
         # explicit integration would go stiff at large decoherence ratios.
-        scenario = QubitScenario(
-            kappa=cfg.scenario.kappa, alpha=alpha, control=cfg.scenario.control
-        )
+        scenario = QubitScenario(kappa=cfg.scenario.kappa, alpha=alpha)
         model = qubit_model(scenario)
         bounds = np.array(
             [

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import count
 
 import numpy as np
 
@@ -69,8 +71,13 @@ class EnsembleStatistics:
     mean_total_repair: float
 
 
-def _chunk_sums(payload) -> dict:
-    """Simulate trajectories [start, stop) and return their partial sums."""
+# The (checkpoint, row) arrays of ``_run_em_batch`` a trajectory sink
+# receives, in the column order of the trajectory CSVs.
+TRAJECTORY_ROWS = ("states", "entropies", "dw_sums", "rep_sums", "y_path")
+
+
+def _chunk_sums(payload, keep_rows: bool = False) -> dict:
+    """Simulate trajectories [start, stop); return partial sums (and "rows" if kept)."""
     model, rho0, integrator, master_seed, start, stop = payload
     n_steps = integrator.n_steps
     batch = stop - start
@@ -92,7 +99,7 @@ def _chunk_sums(payload) -> dict:
         model.decoherence @ dagger(model.decoherence)
     q = np.einsum("ij,kbji->kb", comm, states).real
     totals = out["rep_sums"].sum(axis=0)
-    return {
+    part = {
         "times": out["times"],
         "state": states.sum(axis=1),
         "state_sq": (states.real ** 2 + states.imag ** 2).sum(axis=1),
@@ -103,6 +110,9 @@ def _chunk_sums(payload) -> dict:
         "flagged": int(np.count_nonzero(totals > REPAIR_FLAG_TOTAL)),
         "repair_total": float(totals.sum()),
     }
+    if keep_rows:
+        part["rows"] = {key: out[key] for key in TRAJECTORY_ROWS}
+    return part
 
 
 def _se_from_sums(total, total_sq, n: int) -> np.ndarray:
@@ -114,12 +124,36 @@ def _se_from_sums(total, total_sq, n: int) -> np.ndarray:
     return np.sqrt(var / n)
 
 
-def run_ensemble(model: ModelSpec, rho0, cfg: EnsembleConfig) -> EnsembleStatistics:
+_SUMMED = ("state", "state_sq", "s", "s_sq", "q", "q_sq", "flagged", "repair_total")
+
+
+def _reduce(parts, trajectory_sink) -> dict:
+    """Add up chunk results in chunk order as they arrive, passing rows to the sink."""
+    totals = None
+    for start, part in zip(count(0, CHUNK_SIZE), parts):
+        if trajectory_sink is not None:
+            trajectory_sink(start, part["times"], part.pop("rows"))
+        if totals is None:
+            totals = part
+        else:
+            for key in _SUMMED:
+                totals[key] += part[key]
+    return totals
+
+
+def run_ensemble(model: ModelSpec, rho0, cfg: EnsembleConfig,
+                 trajectory_sink=None) -> EnsembleStatistics:
     """Run a seeded trajectory ensemble and aggregate its statistics.
 
     Output is a deterministic function of (model, rho0, master_seed,
     integrator settings) alone; the worker count only affects wall time.
     A failing trajectory aborts the whole run with its index and step.
+
+    ``trajectory_sink``, if given, is called as ``sink(start, times, rows)``
+    once per chunk, in chunk order, as the chunks arrive: ``rows`` maps
+    each name in ``TRAJECTORY_ROWS`` to the chunk's (checkpoint, row)
+    array, row b being trajectory ``start + b``, and is freed after the
+    call.  These are the rows the statistics are summed from.
     """
     rho = validate_density(rho0)
     n = cfg.n_trajectories
@@ -127,35 +161,19 @@ def run_ensemble(model: ModelSpec, rho0, cfg: EnsembleConfig) -> EnsembleStatist
         (model, rho, cfg.integrator, cfg.master_seed, start, min(start + CHUNK_SIZE, n))
         for start in range(0, n, CHUNK_SIZE)
     ]
+    # looked up per call, so a wrapped module-level ``_chunk_sums`` is used
+    work = partial(_chunk_sums, keep_rows=trajectory_sink is not None)
     if cfg.worker_count == 1 or len(payloads) == 1:
-        results = map(_chunk_sums, payloads)
+        totals = _reduce(map(work, payloads), trajectory_sink)
     else:
-        executor = ProcessPoolExecutor(max_workers=cfg.worker_count)
-        try:
-            results = list(executor.map(_chunk_sums, payloads))
-        finally:
-            executor.shutdown()
-
-    totals: dict = {}
-    times = None
-    for part in results:
-        if times is None:
-            times = part["times"]
-            for key in ("state", "state_sq", "s", "s_sq", "q", "q_sq"):
-                totals[key] = part[key].copy()
-            totals["flagged"] = part["flagged"]
-            totals["repair_total"] = part["repair_total"]
-        else:
-            for key in ("state", "state_sq", "s", "s_sq", "q", "q_sq"):
-                totals[key] += part[key]
-            totals["flagged"] += part["flagged"]
-            totals["repair_total"] += part["repair_total"]
+        with ProcessPoolExecutor(max_workers=cfg.worker_count) as executor:
+            totals = _reduce(executor.map(work, payloads), trajectory_sink)
 
     mean_state = totals["state"] / n
     for slot in range(mean_state.shape[0]):
         mean_state[slot] = validate_density(mean_state[slot])
     return EnsembleStatistics(
-        times=times,
+        times=totals["times"],
         mean_state=mean_state,
         mean_entropy=totals["s"] / n,
         entropy_se=_se_from_sums(totals["s"], totals["s_sq"], n),

@@ -6,6 +6,9 @@ import pytest
 
 from entroflux.cli import main
 from entroflux.config import ConfigError, load_config
+from entroflux.ensemble import trajectory_seed
+from entroflux.integrate import simulate_trajectory
+from entroflux.qubit import density_to_bloch
 
 
 def write_config(path, **overrides):
@@ -175,6 +178,37 @@ class TestSimulateCommand:
         header = (out / "trajectory_00000.csv").read_text().splitlines()[0]
         assert header == "t,x,y,z,S,dW,repair,y"
 
+    def test_trajectory_csvs_are_the_batch_rows(self, tmp_path):
+        # 300 trajectories span two chunks (256 + 44 rows); each CSV must be
+        # the same bytes on any worker count and hold, bit for bit, the
+        # batch-of-one record of its trajectory
+        path = tmp_path / "c.json"
+        write_config(path, emit=["trajectories"])
+        raw = json.loads(path.read_text())
+        raw["ensemble"]["n_trajectories"] = 300
+        raw["ensemble"]["integrator"].update(t_final=0.05, record_stride=10)
+        path.write_text(json.dumps(raw))
+        out1, out2 = tmp_path / "w1", tmp_path / "w2"
+        for out, workers in ((out1, "1"), (out2, "2")):
+            assert main(["simulate", "--config", str(path), "--workers", workers,
+                         "--out", str(out)]) == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == [f"trajectory_{i:05d}.csv" for i in range(300)]
+        cfg = load_config(str(path))
+        for index, name in enumerate(names):
+            text = (out1 / name).read_bytes()
+            assert text == (out2 / name).read_bytes(), name
+            rec = simulate_trajectory(cfg.model, cfg.initial_state, cfg.ensemble.integrator,
+                                      trajectory_seed(42, index))
+            want = np.column_stack([
+                rec.times, [density_to_bloch(rho) for rho in rec.states], rec.entropies,
+                rec.dW_draws, rec.repair_magnitudes, rec.measurement_record,
+            ])
+            # 17 significant digits round-trip every double exactly
+            got = np.array([[float(cell) for cell in line.split(",")]
+                            for line in text.decode().splitlines()[1:]])
+            assert np.array_equal(got, want), name
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -280,6 +314,20 @@ class TestSweepAlphaCommand:
         assert float(rows[0][1]) == 0.5
         assert float(rows[1][1]) == 1.0
         assert float(rows[2][1]) < 1e-4
+
+    @pytest.mark.parametrize("control", [
+        {"kind": "constant", "value": 3.0},
+        {"kind": "bloch_x_proportional", "gain": 5.0},
+    ])
+    def test_rejects_nonzero_control(self, tmp_path, capsys, control):
+        # the mean path is the zero-control closed form, so any other law
+        # would be silently ignored
+        scenario = {"kind": "qubit", "kappa": 1.0, "alpha": 6.0, "control": control}
+        cfg = write_config(tmp_path / "c.json", scenario=scenario, sweep={"alphas": [6.0]})
+        out = tmp_path / "run"
+        assert main(["sweep-alpha", "--config", cfg, "--out", str(out)]) == 2
+        assert "scenario.control" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
 
     def test_requires_sweep_section(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")

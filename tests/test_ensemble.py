@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from entroflux.ensemble import (
+    TRAJECTORY_ROWS,
     EnsembleConfig,
     EnsembleStatistics,
     mean_entropy_vs_entropy_of_mean,
@@ -41,6 +42,24 @@ def test_reparallelization_is_bit_identical():
         np.testing.assert_array_equal(getattr(serial, field), getattr(pooled, field))
     assert serial.flagged_trajectories == pooled.flagged_trajectories
     assert serial.mean_total_repair == pooled.mean_total_repair
+
+
+def test_trajectory_sink_gets_every_chunk_in_order():
+    model = qubit_model(QubitScenario(kappa=1.0, alpha=6.0))
+    tiny = IntegratorConfig(dt=1e-3, t_final=0.02, record_stride=10)
+    common = dict(n_trajectories=300, master_seed=9, integrator=tiny)
+    calls = []
+    plain = run_ensemble(model, PLUS, EnsembleConfig(**common))
+    fed = run_ensemble(model, PLUS, EnsembleConfig(worker_count=2, **common),
+                       trajectory_sink=lambda *args: calls.append(args))
+    assert [start for start, _, _ in calls] == [0, 256]
+    assert [rows["states"].shape[:2] for _, _, rows in calls] == [(3, 256), (3, 44)]
+    for field in ("times", "mean_state", "mean_entropy", "entropy_se",
+                  "quantumness_mean", "quantumness_se", "state_se"):
+        np.testing.assert_array_equal(getattr(plain, field), getattr(fed, field))
+    for _, times, rows in calls:
+        assert tuple(rows) == TRAJECTORY_ROWS
+        np.testing.assert_array_equal(times, plain.times)
 
 
 def test_mean_state_is_valid_and_unit_trace():
