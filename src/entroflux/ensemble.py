@@ -1,9 +1,13 @@
 """Seeded trajectory ensembles and their aggregated statistics.
 
-Trajectories are deterministically seeded from (master_seed, index) and
-processed in fixed-size chunks whose boundaries depend only on the
-ensemble size.  Partial sums are reduced in chunk order, so the
-aggregated statistics are bit-identical for any worker count.
+Trajectories are deterministically seeded from (master_seed, index).  A
+run is cut into spans of whole 256-row chunks, about one span per
+worker, and each span is stepped as one batch.  Partial sums are taken
+per chunk, at every checkpoint, and reduced in chunk order; the chunk
+boundaries depend only on the ensemble size, and a row's bits do not
+depend on its batch, so the aggregated statistics are bit-identical for
+any worker count.  A trajectory sink is still called once per chunk, in
+chunk order.
 """
 
 from __future__ import annotations
@@ -11,24 +15,30 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import count
 
 import numpy as np
 
 from .entropy import entropy_of_states
 from .integrate import (
     REPAIR_FLAG_TOTAL,
+    TRAJECTORY_ROWS,
     IntegrationError,
     IntegratorConfig,
     _run_em_batch,
-    wiener_increment,
+    _stack_rows,
 )
+from .integrate import wiener_increment  # noqa: F401  bench/tracer.py wraps it here
 from .linalg import ValidationError, dagger, validate_density
 from .model import ModelSpec
 
-# Trajectories per work unit; constant so that chunk boundaries (and the
-# reduction order) never depend on the worker count.
+# Trajectories per partial sum; constant so that chunk boundaries (and
+# the reduction order) never depend on the worker count.
 CHUNK_SIZE = 256
+
+# Chunks in one span, the rows a pool task steps as one batch.  Wider
+# batches step faster per row; past 16 chunks the gain is small and the
+# states held grow.
+MAX_SPAN_CHUNKS = 16
 
 
 def trajectory_seed(master_seed: int, index: int) -> np.random.SeedSequence:
@@ -71,48 +81,58 @@ class EnsembleStatistics:
     mean_total_repair: float
 
 
-# The (checkpoint, row) arrays of ``_run_em_batch`` a trajectory sink
-# receives, in the column order of the trajectory CSVs.
-TRAJECTORY_ROWS = ("states", "entropies", "dw_sums", "rep_sums", "y_path")
+# Per-chunk sums taken at every checkpoint, added up across chunks.
+_CHECKPOINT_SUMS = ("state", "state_sq", "s", "s_sq", "q", "q_sq")
 
 
-def _chunk_sums(payload, keep_rows: bool = False) -> dict:
-    """Simulate trajectories [start, stop); return partial sums (and "rows" if kept)."""
+def _chunk_sums(payload, keep_rows: bool = False):
+    """Simulate trajectories [start, stop) as one batch; return the times and per-chunk sums.
+
+    The span covers whole chunks of ``CHUNK_SIZE`` rows (the last may be
+    short), and each chunk's part holds its partial sums at every
+    checkpoint, plus its (checkpoint, row) arrays under "rows" if
+    ``keep_rows``.  A failing span returns its IntegrationError, naming
+    the first trajectory that failed at the first failing step.
+    """
     model, rho0, integrator, master_seed, start, stop = payload
-    n_steps = integrator.n_steps
-    batch = stop - start
-    dws = np.empty((batch, n_steps))
-    for row, index in enumerate(range(start, stop)):
-        rng = np.random.default_rng(trajectory_seed(master_seed, index))
-        dws[row] = wiener_increment(rng, integrator.dt, size=n_steps)
-    try:
-        out = _run_em_batch(model, rho0, integrator, dws)
-    except IntegrationError as err:
-        traj = start + err.trajectory if err.trajectory is not None else None
-        raise IntegrationError(
-            f"trajectory {traj}: {err}",
-            step=err.step, trajectory=traj, magnitude=err.magnitude,
-        ) from None
-    states = out["states"]
-    entropies = out["entropies"]
+    rngs = [np.random.default_rng(trajectory_seed(master_seed, i)) for i in range(start, stop)]
+    chunks = [slice(a, a + CHUNK_SIZE) for a in range(0, stop - start, CHUNK_SIZE)]
     comm = dagger(model.decoherence) @ model.decoherence - \
         model.decoherence @ dagger(model.decoherence)
-    q = np.einsum("ij,kbji->kb", comm, states).real
-    totals = out["rep_sums"].sum(axis=0)
-    part = {
-        "times": out["times"],
-        "state": states.sum(axis=1),
-        "state_sq": (states.real ** 2 + states.imag ** 2).sum(axis=1),
-        "s": entropies.sum(axis=1),
-        "s_sq": (entropies ** 2).sum(axis=1),
-        "q": q.sum(axis=1),
-        "q_sq": (q ** 2).sum(axis=1),
-        "flagged": int(np.count_nonzero(totals > REPAIR_FLAG_TOTAL)),
-        "repair_total": float(totals.sum()),
-    }
-    if keep_rows:
-        part["rows"] = {key: out[key] for key in TRAJECTORY_ROWS}
-    return part
+    parts = [{key: [] for key in _CHECKPOINT_SUMS} for _ in chunks]  # one sum per checkpoint
+    kept = []
+    repair = np.zeros(stop - start)
+
+    def record(rows):
+        nonlocal repair
+        states, entropies = rows["states"], rows["entropies"]
+        q = np.einsum("ij,bji->b", comm, states).real
+        per_row = {"state": states, "state_sq": states.real ** 2 + states.imag ** 2,
+                   "s": entropies, "s_sq": entropies ** 2, "q": q, "q_sq": q ** 2}
+        for part, chunk in zip(parts, chunks):
+            for key, values in per_row.items():
+                part[key].append(values[chunk].sum(axis=0))
+        repair = repair + rows["rep_sums"]
+        if keep_rows:
+            kept.append(rows)
+
+    try:
+        times = _run_em_batch(model, rho0, integrator, rngs, record)
+    except IntegrationError as err:
+        traj = start + err.trajectory if err.trajectory is not None else None
+        return IntegrationError(
+            f"trajectory {traj}: {err}",
+            step=err.step, trajectory=traj, magnitude=err.magnitude,
+        )
+    stacked = _stack_rows(kept) if keep_rows else None
+    for part, chunk in zip(parts, chunks):
+        for key in _CHECKPOINT_SUMS:
+            part[key] = np.array(part[key])
+        part["flagged"] = int(np.count_nonzero(repair[chunk] > REPAIR_FLAG_TOTAL))
+        part["repair_total"] = float(repair[chunk].sum())
+        if keep_rows:
+            part["rows"] = {key: stacked[key][:, chunk] for key in TRAJECTORY_ROWS}
+    return times, parts
 
 
 def _se_from_sums(total, total_sq, n: int) -> np.ndarray:
@@ -124,21 +144,48 @@ def _se_from_sums(total, total_sq, n: int) -> np.ndarray:
     return np.sqrt(var / n)
 
 
-_SUMMED = ("state", "state_sq", "s", "s_sq", "q", "q_sq", "flagged", "repair_total")
+_SUMMED = _CHECKPOINT_SUMS + ("flagged", "repair_total")
 
 
-def _reduce(parts, trajectory_sink) -> dict:
-    """Add up chunk results in chunk order as they arrive, passing rows to the sink."""
-    totals = None
-    for start, part in zip(count(0, CHUNK_SIZE), parts):
-        if trajectory_sink is not None:
-            trajectory_sink(start, part["times"], part.pop("rows"))
-        if totals is None:
-            totals = part
-        else:
-            for key in _SUMMED:
-                totals[key] += part[key]
+def _reduce(outcomes, trajectory_sink) -> dict:
+    """Add up chunk sums in chunk order as the spans arrive, passing rows to the sink.
+
+    If any span failed, the failure with the smallest (step, trajectory)
+    is raised, whatever the span layout; no chunk after the first failed
+    span is reduced or sunk.
+    """
+    totals, errors, start = None, [], 0
+    for outcome in outcomes:
+        if isinstance(outcome, IntegrationError):
+            errors.append(outcome)
+        if errors:
+            continue
+        times, parts = outcome
+        for part in parts:
+            if trajectory_sink is not None:
+                trajectory_sink(start, times, part.pop("rows"))
+            start += CHUNK_SIZE
+            if totals is None:
+                totals = dict(part, times=times)
+            else:
+                for key in _SUMMED:
+                    totals[key] += part[key]
+    if errors:
+        raise min(errors, key=lambda err: (err.step, err.trajectory))
     return totals
+
+
+def _spans(n: int, workers: int) -> list[tuple[int, int]]:
+    """Cut [0, n) into spans of whole chunks, as even as the chunks allow.
+
+    The span count is the smallest multiple of ``workers`` that keeps
+    every span within ``MAX_SPAN_CHUNKS`` chunks, so the pool stays
+    balanced, but never more than the chunk count.
+    """
+    chunks = -(-n // CHUNK_SIZE)
+    count = min(chunks, workers * -(-chunks // (workers * MAX_SPAN_CHUNKS)))
+    edges = [CHUNK_SIZE * (chunks * k // count) for k in range(count + 1)]
+    return [(a, min(b, n)) for a, b in zip(edges, edges[1:])]
 
 
 def run_ensemble(model: ModelSpec, rho0, cfg: EnsembleConfig,
@@ -147,20 +194,22 @@ def run_ensemble(model: ModelSpec, rho0, cfg: EnsembleConfig,
 
     Output is a deterministic function of (model, rho0, master_seed,
     integrator settings) alone; the worker count only affects wall time.
-    A failing trajectory aborts the whole run with its index and step.
+    The run is cut into spans of whole chunks (``_spans``), each stepped
+    as one batch by one pool task.  A failing trajectory aborts the whole
+    run with its index and step: the earliest step at which any
+    trajectory failed, and the lowest such trajectory.
 
     ``trajectory_sink``, if given, is called as ``sink(start, times, rows)``
-    once per chunk, in chunk order, as the chunks arrive: ``rows`` maps
-    each name in ``TRAJECTORY_ROWS`` to the chunk's (checkpoint, row)
-    array, row b being trajectory ``start + b``, and is freed after the
-    call.  These are the rows the statistics are summed from.
+    once per chunk of ``CHUNK_SIZE`` rows, in chunk order, as the spans
+    arrive: ``rows`` maps each name in ``TRAJECTORY_ROWS`` to the chunk's
+    (checkpoint, row) array, row b being trajectory ``start + b``, and is
+    freed after its span.  These are the rows the statistics are summed
+    from.
     """
     rho = validate_density(rho0)
     n = cfg.n_trajectories
-    payloads = [
-        (model, rho, cfg.integrator, cfg.master_seed, start, min(start + CHUNK_SIZE, n))
-        for start in range(0, n, CHUNK_SIZE)
-    ]
+    payloads = [(model, rho, cfg.integrator, cfg.master_seed, start, stop)
+                for start, stop in _spans(n, cfg.worker_count)]
     # looked up per call, so a wrapped module-level ``_chunk_sums`` is used
     work = partial(_chunk_sums, keep_rows=trajectory_sink is not None)
     if cfg.worker_count == 1 or len(payloads) == 1:

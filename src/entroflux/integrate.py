@@ -7,8 +7,9 @@ serves as the deterministic oracle for ensemble means.
 
 Internally both integrators act on row-major vectorized states, so one
 time step is a handful of precomputed superoperator matvecs.  A batch of
-trajectories is stepped as the rows of a (batch, d*d) array; a single
-trajectory is simply a batch of one.
+trajectories is stepped as the rows of a (batch, d*d) array, each row
+drawing its noise from its own generator; a single trajectory is a
+batch of one, stepped as two identical rows.
 """
 
 from __future__ import annotations
@@ -25,6 +26,15 @@ from .model import ModelSpec
 # A trajectory whose accumulated clipped mass exceeds this is flagged as
 # unreliable (the flag is informational; per-step failures raise).
 REPAIR_FLAG_TOTAL = 1e-3
+
+# Wiener draws a stepping batch holds at once: every row's noise for a
+# block of steps.  Larger blocks raise peak memory; smaller ones cost
+# time in many short draw calls.
+NOISE_BUDGET_BYTES = 2 << 20
+
+# The per-row arrays recorded at each checkpoint, in the column order of
+# the trajectory CSVs.
+TRAJECTORY_ROWS = ("states", "entropies", "dw_sums", "rep_sums", "y_path")
 
 
 class IntegrationError(RuntimeError):
@@ -140,12 +150,30 @@ def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
 
 # --- physicality repair ---------------------------------------------------
 
+def _raise_first_failure(lost: np.ndarray, magnitude: np.ndarray, tol: float) -> None:
+    """Raise IntegrationError for the first row that is lost or clipped beyond ``tol``.
+
+    Naming the first failing row, not the worst, keeps the reported
+    trajectory independent of how the rows are grouped into batches.
+    """
+    bad = lost | (magnitude > tol)
+    if not bad.any():
+        return
+    row = int(np.argmax(bad))
+    if lost[row]:
+        raise IntegrationError("state lost all positive mass during a step", trajectory=row)
+    raise IntegrationError(
+        f"repair magnitude {magnitude[row]:.3e} exceeds tolerance {tol:.1e}",
+        trajectory=row, magnitude=float(magnitude[row]),
+    )
+
+
 def _project_batch(v: np.ndarray, dim: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Repair a batch of vectorized states: symmetrize, clip, renormalize.
 
     Returns the repaired batch and the clipped mass per row.  Raises
-    IntegrationError (with the offending row index) when a row's clipped
-    mass exceeds ``tol`` or no positive mass remains.
+    IntegrationError naming the first row whose clipped mass exceeds
+    ``tol`` or that has no positive mass left.
     """
     if dim == 2:
         a = v[:, 0].real
@@ -154,19 +182,9 @@ def _project_batch(v: np.ndarray, dim: int, tol: float) -> tuple[np.ndarray, np.
         p = 0.5 * (a + d)
         r = np.sqrt(0.25 * (a - d) ** 2 + b.real ** 2 + b.imag ** 2)
         lam_min = p - r
-        if not np.all(p + r > 0.0):
-            row = int(np.argmin(p + r))
-            raise IntegrationError(
-                "state lost all positive mass during a step", trajectory=row
-            )
         clip = lam_min < 0.0
         magnitude = np.where(clip, -lam_min, 0.0)
-        if np.any(magnitude > tol):
-            row = int(np.argmax(magnitude))
-            raise IntegrationError(
-                f"repair magnitude {magnitude[row]:.3e} exceeds tolerance {tol:.1e}",
-                trajectory=row, magnitude=float(magnitude[row]),
-            )
+        _raise_first_failure(~(p + r > 0.0), magnitude, tol)
         trace = a + d
         # clipped rows may carry a nonpositive trace; their renormalized
         # values are discarded below, so only guard the division
@@ -193,12 +211,7 @@ def _project_batch(v: np.ndarray, dim: int, tol: float) -> tuple[np.ndarray, np.
     mats = 0.5 * (mats + np.transpose(mats.conj(), (0, 2, 1)))
     w = np.linalg.eigvalsh(mats)
     magnitude = np.where(w < 0.0, -w, 0.0).sum(axis=1)
-    if np.any(magnitude > tol):
-        row = int(np.argmax(magnitude))
-        raise IntegrationError(
-            f"repair magnitude {magnitude[row]:.3e} exceeds tolerance {tol:.1e}",
-            trajectory=row, magnitude=float(magnitude[row]),
-        )
+    _raise_first_failure(~(w[:, -1] > 0.0), magnitude, tol)
     out = np.empty_like(mats)
     needs_clip = w[:, 0] < 0.0
     for i in range(mats.shape[0]):
@@ -304,47 +317,58 @@ def em_step(
     )
 
 
+def _stack_rows(kept: list[dict]) -> dict:
+    """Stack the per-checkpoint row dicts of ``_run_em_batch`` into (checkpoint, row) arrays."""
+    return {key: np.stack([rows[key] for rows in kept]) for key in TRAJECTORY_ROWS}
+
+
 def _run_em_batch(
     model: ModelSpec,
     rho0: np.ndarray,
     cfg: IntegratorConfig,
-    dws: np.ndarray,
-) -> dict:
-    """Step a batch of trajectories and collect strided checkpoints.
+    rngs: list,
+    record,
+) -> np.ndarray:
+    """Step one trajectory per generator as one batch; return the checkpoint times.
 
-    ``dws`` has shape (batch, n_steps); row b drives trajectory b.
-    Returns stacked arrays keyed by name; the leading axis indexes
-    checkpoints and the second the batch.
+    Row b draws its Wiener increments from ``rngs[b]``, a block of steps
+    at a time, so the batch never holds more than ``NOISE_BUDGET_BYTES``
+    of noise however long the horizon.  At each checkpoint ``record(rows)``
+    gets a dict mapping each name in ``TRAJECTORY_ROWS`` to that
+    checkpoint's per-row array.  A lone row is stepped as two identical
+    rows: numpy multiplies a single row through another BLAS path than a
+    batch, which for d > 2 changes the last bits.
     """
     kernel = _EulerMaruyamaKernel(model, cfg)
-    batch, n_steps = dws.shape
+    rows = len(rngs)
+    batch = max(rows, 2)
+    n_steps = cfg.n_steps
     stride = cfg.record_stride
-    n_rec = n_steps // stride + 1
+    block = max(1, NOISE_BUDGET_BYTES // (8 * batch))
     dim = model.dim
 
     v = np.tile(rho0.reshape(-1), (batch, 1))
-    times = np.empty(n_rec)
-    states = np.empty((n_rec, batch, dim, dim), dtype=np.complex128)
-    entropies = np.empty((n_rec, batch))
-    dw_sums = np.zeros((n_rec, batch))
-    rep_sums = np.zeros((n_rec, batch))
-    y_path = np.zeros((n_rec, batch))
+    noise = np.empty((min(block, n_steps), batch))
+    times = []
 
-    def record(slot: int, step: int, dw_acc, rep_acc, y_acc):
-        times[slot] = step * cfg.dt
-        states[slot] = v.reshape(batch, dim, dim)
-        entropies[slot] = entropy_of_states(states[slot])
-        dw_sums[slot] = dw_acc
-        rep_sums[slot] = rep_acc
-        y_path[slot] = y_acc
+    def checkpoint(step: int, dw_acc, rep_acc, y_acc):
+        times.append(step * cfg.dt)
+        states = v[:rows].reshape(rows, dim, dim)
+        record({"states": states, "entropies": entropy_of_states(states),
+                "dw_sums": dw_acc[:rows], "rep_sums": rep_acc[:rows], "y_path": y_acc[:rows]})
 
     dw_acc = np.zeros(batch)
     rep_acc = np.zeros(batch)
     y_acc = np.zeros(batch)
-    record(0, 0, dw_acc, rep_acc, y_acc)
-    slot = 1
+    checkpoint(0, dw_acc, rep_acc, y_acc)
     for step in range(1, n_steps + 1):
-        dw = dws[:, step - 1]
+        j = (step - 1) % block
+        if j == 0:
+            size = min(block, n_steps + 1 - step)
+            for b, rng in enumerate(rngs):
+                noise[:size, b] = wiener_increment(rng, cfg.dt, size=size)
+            noise[:size, rows:] = noise[:size, :1]  # the lone row's twin, if any
+        dw = noise[j]
         y_acc = y_acc + kernel.measured_mean(v) * cfg.dt + dw
         try:
             v, mags = kernel.step(v, dw)
@@ -356,18 +380,10 @@ def _run_em_batch(
         dw_acc = dw_acc + dw
         rep_acc = rep_acc + mags
         if step % stride == 0:
-            record(slot, step, dw_acc, rep_acc, y_acc)
+            checkpoint(step, dw_acc, rep_acc, y_acc)
             dw_acc = np.zeros(batch)
             rep_acc = np.zeros(batch)
-            slot += 1
-    return {
-        "times": times,
-        "states": states,
-        "entropies": entropies,
-        "dw_sums": dw_sums,
-        "rep_sums": rep_sums,
-        "y_path": y_path,
-    }
+    return np.array(times)
 
 
 def simulate_trajectory(
@@ -387,11 +403,11 @@ def simulate_trajectory(
         raise ValidationError(
             f"initial state dimension {rho.shape[0]} does not match model dim {model.dim}"
         )
-    rng = np.random.default_rng(seed)
-    dws = wiener_increment(rng, cfg.dt, size=cfg.n_steps).reshape(1, -1)
-    out = _run_em_batch(model, rho, cfg, dws)
+    kept = []
+    times = _run_em_batch(model, rho, cfg, [np.random.default_rng(seed)], kept.append)
+    out = _stack_rows(kept)
     return TrajectoryRecord(
-        times=out["times"],
+        times=times,
         states=out["states"][:, 0],
         entropies=out["entropies"][:, 0],
         dW_draws=out["dw_sums"][:, 0],

@@ -8,7 +8,12 @@ from entroflux.cli import main
 from entroflux.config import ConfigError, load_config
 from entroflux.ensemble import trajectory_seed
 from entroflux.integrate import simulate_trajectory
+from entroflux.linalg import random_density, random_hermitian, random_operator
 from entroflux.qubit import density_to_bloch
+
+
+def pairs(matrix):
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(matrix, dtype=complex)]
 
 
 def write_config(path, **overrides):
@@ -209,6 +214,38 @@ class TestSimulateCommand:
                             for line in text.decode().splitlines()[1:]])
             assert np.array_equal(got, want), name
 
+    def test_d4_trajectory_csvs_are_simulate_trajectory(self, tmp_path):
+        # for d > 2 a lone row used to take another BLAS path than a batch;
+        # every row of a two-chunk d=4 run must equal its single-trajectory
+        # record bit for bit
+        rng = np.random.default_rng(4)
+        ops = {"hamiltonian": random_hermitian(4, rng),
+               "probe": random_hermitian(4, rng, scale=0.5),
+               "decoherence": random_operator(4, rng, scale=0.5)}
+        scenario = {"kind": "explicit", "dim": 4, "control": {"kind": "constant", "value": 0.5},
+                    **{name: pairs(op) for name, op in ops.items()}}
+        initial = {"matrix": pairs(random_density(4, min_eig=0.05, seed=3))}
+        path = tmp_path / "c.json"
+        write_config(path, scenario=scenario, initial_state=initial, emit=["trajectories"])
+        raw = json.loads(path.read_text())
+        raw["ensemble"]["n_trajectories"] = 300
+        raw["ensemble"]["integrator"].update(t_final=0.05, record_stride=10)
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(path), "--workers", "2",
+                     "--out", str(out)]) == 0
+        cfg = load_config(str(path))
+        for index in range(300):
+            rec = simulate_trajectory(cfg.model, cfg.initial_state, cfg.ensemble.integrator,
+                                      trajectory_seed(42, index))
+            cells = np.stack([rec.states.real, rec.states.imag], axis=-1).reshape(len(rec.times), -1)
+            want = np.column_stack([rec.times, cells, rec.entropies, rec.dW_draws,
+                                    rec.repair_magnitudes, rec.measurement_record])
+            text = (out / f"trajectory_{index:05d}.csv").read_text()
+            got = np.array([[float(cell) for cell in line.split(",")]
+                            for line in text.splitlines()[1:]])
+            assert np.array_equal(got, want), index
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -288,6 +325,26 @@ class TestVerifyBoundCommand:
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "trajectory" in err and "step" in err
+
+    def test_failure_names_one_trajectory_at_any_worker_count(self, tmp_path, capsys):
+        # 600 trajectories fail at several steps in several chunks; the
+        # report must be the earliest step, however the run is split
+        path = tmp_path / "c.json"
+        write_config(path, scenario={"kind": "qubit", "kappa": 1.0, "alpha": 0.0,
+                                     "control": {"kind": "zero"}})
+        raw = json.loads(path.read_text())
+        raw["ensemble"]["n_trajectories"] = 600
+        raw["ensemble"]["master_seed"] = 0
+        raw["ensemble"]["integrator"].update(t_final=0.2, record_stride=20,
+                                             repair_tolerance=1e-2)
+        path.write_text(json.dumps(raw))
+        messages = []
+        for workers in ("1", "2", "3"):
+            assert main(["verify-bound", "--config", str(path), "--workers", workers,
+                         "--out", str(tmp_path / workers)]) == 3
+            messages.append(capsys.readouterr().err)
+        assert messages[1:] == messages[:1] * 2
+        assert "trajectory 352: step 2 " in messages[0]
 
     def test_rejects_non_hermitian_probe(self, tmp_path, capsys):
         scenario = {

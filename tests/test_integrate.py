@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
+from entroflux import integrate
+from entroflux.ensemble import trajectory_seed
 from entroflux.integrate import (
+    TRAJECTORY_ROWS,
     IntegrationError,
     IntegratorConfig,
     TrajectoryState,
+    _project_batch,
+    _run_em_batch,
+    _stack_rows,
     dissipator_superop,
     em_step,
     hamiltonian_superop,
@@ -13,7 +19,13 @@ from entroflux.integrate import (
     simulate_trajectory,
     wiener_increment,
 )
-from entroflux.linalg import ValidationError, random_density, random_operator, validate_density
+from entroflux.linalg import (
+    ValidationError,
+    random_density,
+    random_hermitian,
+    random_operator,
+    validate_density,
+)
 from entroflux.model import ControlLaw, ModelSpec, dissipator, sme_increment
 from entroflux.qubit import (
     SIGMA_MINUS,
@@ -26,6 +38,14 @@ from entroflux.qubit import (
 )
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
+
+
+def d4_spec():
+    rng = np.random.default_rng(4)
+    return ModelSpec(dim=4, hamiltonian=random_hermitian(4, rng),
+                     probe=random_hermitian(4, rng, scale=0.5),
+                     decoherence=random_operator(4, rng, scale=0.5),
+                     control=ControlLaw(kind="constant", value=0.5))
 
 
 def qubit_spec(kappa=1.0, gamma=0.0, control=None):
@@ -128,6 +148,22 @@ class TestProjectToPhysical:
     def test_tolerance_enforced(self):
         with pytest.raises(IntegrationError, match="exceeds tolerance"):
             project_to_physical(np.diag([1.5, -0.5]), tol=0.1)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_batch_failure_names_the_first_failing_row(self, dim):
+        # rows 1 and 3 clip beyond tolerance, row 3 by more; reporting the
+        # first, not the worst, keeps the named row independent of batching
+        def state(neg):
+            return np.diag([1.0 + neg] + [0.0] * (dim - 2) + [-neg]).astype(complex).reshape(-1)
+        batch = np.stack([state(0.0), state(0.2), state(0.0), state(0.4)])
+        with pytest.raises(IntegrationError, match="exceeds tolerance") as err:
+            _project_batch(batch, dim, 0.1)
+        assert err.value.trajectory == 1
+        assert err.value.magnitude == pytest.approx(0.2)
+        lost = np.stack([state(0.0), state(0.2), -state(0.0)])
+        with pytest.raises(IntegrationError, match="lost all positive mass") as err:
+            _project_batch(lost, dim, 1.0)
+        assert err.value.trajectory == 2
 
 
 class TestEmStep:
@@ -243,6 +279,66 @@ class TestSimulateTrajectory:
         rec = simulate_trajectory(spec, bloch_to_density((1, 0, 0)), cfg, seed=3)
         assert rec.total_repair > 1e-3
         assert rec.repair_flagged
+
+
+def batch_rows(spec, rho0, cfg, rows):
+    """The recorded rows of trajectories 0..rows-1 stepped as one batch."""
+    kept = []
+    rngs = [np.random.default_rng(trajectory_seed(7, i)) for i in range(rows)]
+    times = _run_em_batch(spec, rho0, cfg, rngs, kept.append)
+    return times, _stack_rows(kept)
+
+
+class TestBatchedStepping:
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_rows_do_not_depend_on_batch_size(self, dim):
+        # a span steps any number of rows as one batch, so a trajectory's
+        # bits must not depend on its batch; a numpy or BLAS change that
+        # multiplies some batch size another way fails here
+        if dim == 2:
+            spec, rho0 = qubit_spec(kappa=1.0, gamma=6.0), bloch_to_density((1, 0, 0))
+        else:
+            spec, rho0 = d4_spec(), random_density(4, min_eig=0.05, seed=3)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.03, record_stride=10)
+        _, widest = batch_rows(spec, rho0, cfg, 1000)
+        for rows in (1, 2, 3, 256, 257):
+            _, got = batch_rows(spec, rho0, cfg, rows)
+            for key in TRAJECTORY_ROWS:
+                assert np.array_equal(got[key], widest[key][:, :rows]), (rows, key)
+
+    def test_lone_row_is_simulate_trajectory(self):
+        spec, rho0 = d4_spec(), random_density(4, min_eig=0.05, seed=3)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.03, record_stride=10)
+        _, rows = batch_rows(spec, rho0, cfg, 3)
+        rec = simulate_trajectory(spec, rho0, cfg, trajectory_seed(7, 2))
+        np.testing.assert_array_equal(rec.states, rows["states"][:, 2])
+        np.testing.assert_array_equal(rec.measurement_record, rows["y_path"][:, 2])
+
+    def test_noise_blocks_are_bounded_and_leave_no_trace(self, monkeypatch):
+        # 50 steps in blocks of 7 (not a multiple of the stride 10) must give
+        # the bits of one 50-step block, and no block may pass the budget
+        spec = qubit_spec(kappa=1.0, gamma=6.0)
+        rho0 = bloch_to_density((1, 0, 0))
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.05, record_stride=10)
+        rows = 300
+        sizes = []
+        draw = integrate.wiener_increment
+
+        def spy(rng, dt, size=None):
+            sizes.append(size)
+            return draw(rng, dt, size)
+
+        monkeypatch.setattr(integrate, "wiener_increment", spy)
+        times, whole = batch_rows(spec, rho0, cfg, rows)
+        assert sizes == [50] * rows
+        sizes.clear()
+        monkeypatch.setattr(integrate, "NOISE_BUDGET_BYTES", 7 * 8 * rows)
+        blocked_times, blocked = batch_rows(spec, rho0, cfg, rows)
+        assert sorted(set(sizes)) == [1, 7] and len(sizes) == 8 * rows
+        assert max(sizes) * 8 * rows <= integrate.NOISE_BUDGET_BYTES
+        np.testing.assert_array_equal(times, blocked_times)
+        for key in TRAJECTORY_ROWS:
+            assert np.array_equal(whole[key], blocked[key]), key
 
 
 class TestIntegrateMasterEquation:
