@@ -3,7 +3,8 @@
 Subcommands: ``simulate`` (ensemble statistics CSV), ``verify-bound``
 (entropy-rate bound report CSV), ``sweep-alpha`` (threshold sweep CSV)
 and ``selftest`` (property battery).  Exit codes: 0 success, 2 config
-error, 3 integration failure, 4 bound violation, 5 selftest failure.
+error, 3 integration failure or a lost worker, 4 bound violation, 5
+selftest failure.
 
 All numeric CSV cells use 17 significant digits with '.' as the decimal
 separator; flag columns are 0/1.  Outputs are deterministic functions of
@@ -21,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
-from .ensemble import TRAJECTORY_ROWS, run_ensemble
+from .ensemble import TRAJECTORY_ROWS, WorkerError, run_ensemble
 from .entropy import BOUND_SIGN_TOL, build_bound_report, entropy_rate_bound
 from .integrate import IntegrationError
 from .integrate import simulate_trajectory  # noqa: F401  bench/tracer.py counts calls made here
@@ -283,6 +284,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except IntegrationError as err:
         print(f"integration error: {err}", file=sys.stderr)
+        return EXIT_INTEGRATION
+    except WorkerError as err:
+        print(f"worker error: {err}", file=sys.stderr)
         return EXIT_INTEGRATION
 
 

@@ -13,6 +13,7 @@ chunk order.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -39,6 +40,10 @@ CHUNK_SIZE = 256
 # batches step faster per row; past 16 chunks the gain is small and the
 # states held grow.
 MAX_SPAN_CHUNKS = 16
+
+
+class WorkerError(RuntimeError):
+    """A span was not simulated: its worker process died or ran out of memory."""
 
 
 def trajectory_seed(master_seed: int, index: int) -> np.random.SeedSequence:
@@ -175,6 +180,18 @@ def _reduce(outcomes, trajectory_sink) -> dict:
     return totals
 
 
+def _span_outcomes(outcomes, payloads):
+    """Yield each span's outcome; a worker lost to a crash or to memory raises WorkerError."""
+    for payload in payloads:
+        try:
+            yield next(outcomes)
+        except (BrokenProcessPool, MemoryError) as err:
+            start, stop = payload[4:]
+            raise WorkerError(
+                f"trajectories [{start}, {stop}) were not simulated: {err!r}"
+            ) from None
+
+
 def _spans(n: int, workers: int) -> list[tuple[int, int]]:
     """Cut [0, n) into spans of whole chunks, as even as the chunks allow.
 
@@ -197,7 +214,9 @@ def run_ensemble(model: ModelSpec, rho0, cfg: EnsembleConfig,
     The run is cut into spans of whole chunks (``_spans``), each stepped
     as one batch by one pool task.  A failing trajectory aborts the whole
     run with its index and step: the earliest step at which any
-    trajectory failed, and the lowest such trajectory.
+    trajectory failed, and the lowest such trajectory.  A worker that dies
+    or runs out of memory raises WorkerError, naming the first span in
+    order that did not finish.
 
     ``trajectory_sink``, if given, is called as ``sink(start, times, rows)``
     once per chunk of ``CHUNK_SIZE`` rows, in chunk order, as the spans
@@ -213,10 +232,11 @@ def run_ensemble(model: ModelSpec, rho0, cfg: EnsembleConfig,
     # looked up per call, so a wrapped module-level ``_chunk_sums`` is used
     work = partial(_chunk_sums, keep_rows=trajectory_sink is not None)
     if cfg.worker_count == 1 or len(payloads) == 1:
-        totals = _reduce(map(work, payloads), trajectory_sink)
+        totals = _reduce(_span_outcomes(map(work, payloads), payloads), trajectory_sink)
     else:
         with ProcessPoolExecutor(max_workers=cfg.worker_count) as executor:
-            totals = _reduce(executor.map(work, payloads), trajectory_sink)
+            totals = _reduce(_span_outcomes(executor.map(work, payloads), payloads),
+                             trajectory_sink)
 
     mean_state = totals["state"] / n
     for slot in range(mean_state.shape[0]):

@@ -176,35 +176,43 @@ def _project_batch(v: np.ndarray, dim: int, tol: float) -> tuple[np.ndarray, np.
     ``tol`` or that has no positive mass left.
     """
     if dim == 2:
+        # the numpy operations, and their order, of the plain full-batch
+        # formulas, so every bit (exact-zero signs too) is theirs
         a = v[:, 0].real
         d = v[:, 3].real
-        b = 0.5 * (v[:, 1] + v[:, 2].conj())
-        p = 0.5 * (a + d)
-        r = np.sqrt(0.25 * (a - d) ** 2 + b.real ** 2 + b.imag ** 2)
+        b = np.add(v[:, 1], v[:, 2].conj())
+        b *= 0.5
+        trace = a + d
+        p = 0.5 * trace
+        r = np.square(a - d)
+        r *= 0.25
+        r += b.real ** 2
+        r += b.imag ** 2
+        np.sqrt(r, out=r)
         lam_min = p - r
         clip = lam_min < 0.0
         magnitude = np.where(clip, -lam_min, 0.0)
-        _raise_first_failure(~(p + r > 0.0), magnitude, tol)
-        trace = a + d
+        alive = p + r > 0.0
+        if not alive.all() or magnitude.max() > tol:
+            _raise_first_failure(~alive, magnitude, tol)
         # clipped rows may carry a nonpositive trace; their renormalized
-        # values are discarded below, so only guard the division
+        # values are overwritten below, so only guard the division
         safe = np.where(np.abs(trace) > 0.0, trace, 1.0).astype(np.complex128)
-        renorm = np.empty_like(v)
-        renorm[:, 0] = a / safe
-        renorm[:, 1] = b / safe
-        renorm[:, 2] = b.conj() / safe
-        renorm[:, 3] = d / safe
-        if np.any(clip):
-            rsafe = np.where(r > 0.0, r, 1.0)
-            wz = 0.5 * (a - d)
-            clipped = np.empty_like(v)
-            clipped[:, 0] = 0.5 * (1.0 + wz / rsafe)
-            clipped[:, 1] = 0.5 * b / rsafe
-            clipped[:, 2] = clipped[:, 1].conj()
-            clipped[:, 3] = 0.5 * (1.0 - wz / rsafe)
-            out = np.where(clip[:, None], clipped, renorm)
-        else:
-            out = renorm
+        out = np.empty_like(v)
+        np.divide(a, safe, out=out[:, 0])
+        np.divide(b, safe, out=out[:, 1])
+        np.divide(b.conj(), safe, out=out[:, 2])
+        np.divide(d, safe, out=out[:, 3])
+        clipped = np.flatnonzero(clip)
+        if clipped.size:
+            rc = r[clipped]
+            rsafe = np.where(rc > 0.0, rc, 1.0)
+            wz = 0.5 * (a[clipped] - d[clipped])
+            off = 0.5 * b[clipped] / rsafe
+            out[clipped, 0] = 0.5 * (1.0 + wz / rsafe)
+            out[clipped, 1] = off
+            out[clipped, 2] = off.conj()
+            out[clipped, 3] = 0.5 * (1.0 - wz / rsafe)
         return out, magnitude
 
     mats = v.reshape(-1, dim, dim)
@@ -275,16 +283,26 @@ class _EulerMaruyamaKernel:
         """Tr[(L + L^dag) rho] per row."""
         return (v @ self.k_meas).real
 
-    def step(self, v: np.ndarray, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Advance a (batch, d*d) state array by one repaired EM step."""
-        tr_meas = self.measured_mean(v)
+    def step(self, v: np.ndarray, dw: np.ndarray,
+             tr_meas: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Advance a (batch, d*d) state array by one repaired EM step.
+
+        ``tr_meas`` is ``measured_mean(v)``, if the caller has it already.
+        """
+        if tr_meas is None:
+            tr_meas = self.measured_mean(v)
         drift = v @ self.drift_t
         if self.bloch_gain is not None:
             u = -self.bloch_gain * (v[:, 1] + v[:, 2]).real
-            drift = drift + u[:, None] * (v @ self.ham_t)
-        innov = v @ self.lin_t - tr_meas[:, None] * v
-        v_new = v + drift * self.dt + innov * dw[:, None]
-        return _project_batch(v_new, self.dim, self.tol)
+            drift += u[:, None] * (v @ self.ham_t)
+        innov = v @ self.lin_t
+        innov -= tr_meas[:, None] * v
+        # v + drift * dt + innov * dw, in that order
+        drift *= self.dt
+        drift += v
+        innov *= dw[:, None]
+        drift += innov
+        return _project_batch(drift, self.dim, self.tol)
 
 
 def em_step(
@@ -307,13 +325,13 @@ def em_step(
     rho = validate_density(state.rho)
     kernel = _EulerMaruyamaKernel(model, cfg)
     v = rho.reshape(1, -1)
-    tr_meas = float(kernel.measured_mean(v)[0])
-    v_new, _ = kernel.step(v, np.array([dW]))
+    tr_meas = kernel.measured_mean(v)
+    v_new, _ = kernel.step(v, np.array([dW]), tr_meas)
     return TrajectoryState(
         t=state.t + cfg.dt,
         rho=v_new.reshape(rho.shape),
         W=state.W + dW,
-        y=state.y + tr_meas * cfg.dt + dW,
+        y=state.y + float(tr_meas[0]) * cfg.dt + dW,
     )
 
 
@@ -351,16 +369,18 @@ def _run_em_batch(
     noise = np.empty((min(block, n_steps), batch))
     times = []
 
-    def checkpoint(step: int, dw_acc, rep_acc, y_acc):
+    def checkpoint(step: int):
         times.append(step * cfg.dt)
         states = v[:rows].reshape(rows, dim, dim)
+        # the accumulators are updated in place, so a record keeps copies
         record({"states": states, "entropies": entropy_of_states(states),
-                "dw_sums": dw_acc[:rows], "rep_sums": rep_acc[:rows], "y_path": y_acc[:rows]})
+                "dw_sums": dw_acc[:rows].copy(), "rep_sums": rep_acc[:rows].copy(),
+                "y_path": y_acc[:rows].copy()})
 
     dw_acc = np.zeros(batch)
     rep_acc = np.zeros(batch)
     y_acc = np.zeros(batch)
-    checkpoint(0, dw_acc, rep_acc, y_acc)
+    checkpoint(0)
     for step in range(1, n_steps + 1):
         j = (step - 1) % block
         if j == 0:
@@ -369,20 +389,22 @@ def _run_em_batch(
                 noise[:size, b] = wiener_increment(rng, cfg.dt, size=size)
             noise[:size, rows:] = noise[:size, :1]  # the lone row's twin, if any
         dw = noise[j]
-        y_acc = y_acc + kernel.measured_mean(v) * cfg.dt + dw
+        tr_meas = kernel.measured_mean(v)
+        y_acc += tr_meas * cfg.dt
+        y_acc += dw
         try:
-            v, mags = kernel.step(v, dw)
+            v, mags = kernel.step(v, dw, tr_meas)
         except IntegrationError as err:
             raise IntegrationError(
                 f"step {step} (t={step * cfg.dt:.6g}): {err}", step=step,
                 trajectory=err.trajectory, magnitude=err.magnitude,
             ) from None
-        dw_acc = dw_acc + dw
-        rep_acc = rep_acc + mags
+        dw_acc += dw
+        rep_acc += mags
         if step % stride == 0:
-            checkpoint(step, dw_acc, rep_acc, y_acc)
-            dw_acc = np.zeros(batch)
-            rep_acc = np.zeros(batch)
+            checkpoint(step)
+            dw_acc[:] = 0.0
+            rep_acc[:] = 0.0
     return np.array(times)
 
 

@@ -76,3 +76,7 @@ def test_traced_simulate_reports_every_layer_metric(tracer, tmp_path, monkeypatc
     assert values["ensemble.chunks"] == 1
     assert values["cli.trajectory_resim_calls"] == 0
     assert values["integrate.kernel_builds"] == 1
+    # every step goes through the wrapped ``step`` and ``_project_batch``:
+    # 50 steps of one 3-row batch, each row repaired once per step
+    assert values["integrate.step_calls"] == 50
+    assert values["integrate.repair_rows"] == values["integrate.traj_steps"] == 150

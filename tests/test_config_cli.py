@@ -4,12 +4,29 @@ import os
 import numpy as np
 import pytest
 
+from entroflux import ensemble
 from entroflux.cli import main
 from entroflux.config import ConfigError, load_config
 from entroflux.ensemble import trajectory_seed
 from entroflux.integrate import simulate_trajectory
 from entroflux.linalg import random_density, random_hermitian, random_operator
 from entroflux.qubit import density_to_bloch
+
+
+_CHUNK_SUMS = ensemble._chunk_sums
+
+
+# Module-level span runners, so that a pool worker unpickles them by name.
+def _exit_in_first_span(payload, keep_rows=False):
+    if payload[4] == 0:
+        os._exit(1)
+    return _CHUNK_SUMS(payload, keep_rows=keep_rows)
+
+
+def _no_memory_after_first_span(payload, keep_rows=False):
+    if payload[4] > 0:
+        raise MemoryError
+    return _CHUNK_SUMS(payload, keep_rows=keep_rows)
 
 
 def pairs(matrix):
@@ -345,6 +362,23 @@ class TestVerifyBoundCommand:
             messages.append(capsys.readouterr().err)
         assert messages[1:] == messages[:1] * 2
         assert "trajectory 352: step 2 " in messages[0]
+
+    @pytest.mark.parametrize("runner, span", [(_exit_in_first_span, "[0, 256)"),
+                                              (_no_memory_after_first_span, "[256, 600)")])
+    def test_lost_worker_exits_three_naming_its_span(self, runner, span, tmp_path,
+                                                     capsys, monkeypatch):
+        # 600 trajectories on 2 workers are the spans [0, 256) and [256, 600)
+        path = tmp_path / "c.json"
+        write_config(path)
+        raw = json.loads(path.read_text())
+        raw["ensemble"]["n_trajectories"] = 600
+        path.write_text(json.dumps(raw))
+        monkeypatch.setattr(ensemble, "_chunk_sums", runner)
+        assert main(["verify-bound", "--config", str(path), "--workers", "2",
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"worker error: trajectories {span} were not simulated: ")
+        assert "Traceback" not in err
 
     def test_rejects_non_hermitian_probe(self, tmp_path, capsys):
         scenario = {

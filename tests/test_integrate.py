@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,25 @@ class TestBatchedStepping:
         np.testing.assert_array_equal(rec.states, rows["states"][:, 2])
         np.testing.assert_array_equal(rec.measurement_record, rows["y_path"][:, 2])
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_recorded_rows_do_not_change_after_the_call(self, rows):
+        # the stepping loop updates its accumulators in place, so a sink
+        # that keeps the arrays it is handed must not see later steps
+        spec = qubit_spec(kappa=1.0, gamma=6.0)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.05, record_stride=10)
+        kept, at_call = [], []
+
+        def record(got):
+            kept.append(got)
+            at_call.append(copy.deepcopy(got))
+
+        rngs = [np.random.default_rng(trajectory_seed(7, i)) for i in range(rows)]
+        _run_em_batch(spec, bloch_to_density((1, 0, 0)), cfg, rngs, record)
+        assert len(kept) == 6
+        for got, want in zip(kept, at_call):
+            for key in TRAJECTORY_ROWS:
+                assert np.array_equal(got[key], want[key]), key
+
     def test_noise_blocks_are_bounded_and_leave_no_trace(self, monkeypatch):
         # 50 steps in blocks of 7 (not a multiple of the stride 10) must give
         # the bits of one 50-step block, and no block may pass the budget
@@ -339,6 +360,103 @@ class TestBatchedStepping:
         np.testing.assert_array_equal(times, blocked_times)
         for key in TRAJECTORY_ROWS:
             assert np.array_equal(whole[key], blocked[key]), key
+
+
+def reference_project_2x2(v, tol):
+    """The 2x2 repair as first written: every formula over the whole batch."""
+    a = v[:, 0].real
+    d = v[:, 3].real
+    b = 0.5 * (v[:, 1] + v[:, 2].conj())
+    p = 0.5 * (a + d)
+    r = np.sqrt(0.25 * (a - d) ** 2 + b.real ** 2 + b.imag ** 2)
+    lam_min = p - r
+    clip = lam_min < 0.0
+    magnitude = np.where(clip, -lam_min, 0.0)
+    integrate._raise_first_failure(~(p + r > 0.0), magnitude, tol)
+    trace = a + d
+    safe = np.where(np.abs(trace) > 0.0, trace, 1.0).astype(np.complex128)
+    renorm = np.empty_like(v)
+    renorm[:, 0] = a / safe
+    renorm[:, 1] = b / safe
+    renorm[:, 2] = b.conj() / safe
+    renorm[:, 3] = d / safe
+    if np.any(clip):
+        rsafe = np.where(r > 0.0, r, 1.0)
+        wz = 0.5 * (a - d)
+        clipped = np.empty_like(v)
+        clipped[:, 0] = 0.5 * (1.0 + wz / rsafe)
+        clipped[:, 1] = 0.5 * b / rsafe
+        clipped[:, 2] = clipped[:, 1].conj()
+        clipped[:, 3] = 0.5 * (1.0 - wz / rsafe)
+        out = np.where(clip[:, None], clipped, renorm)
+    else:
+        out = renorm
+    return out, magnitude
+
+
+def reference_step(kernel, v, dw):
+    """The EM step as first written, with a fresh array for every term."""
+    tr_meas = kernel.measured_mean(v)
+    drift = v @ kernel.drift_t
+    if kernel.bloch_gain is not None:
+        u = -kernel.bloch_gain * (v[:, 1] + v[:, 2]).real
+        drift = drift + u[:, None] * (v @ kernel.ham_t)
+    innov = v @ kernel.lin_t - tr_meas[:, None] * v
+    return reference_project_2x2(v + drift * kernel.dt + innov * dw[:, None], kernel.tol)
+
+
+def same_bits(x, y):
+    """Equal bit for bit, so the sign of an exact zero counts too."""
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+class TestQubitStepMatchesReference:
+    # the qubit step computes each value with the same numpy operations,
+    # in the same order, as the plain formulas above, in fewer passes
+
+    @pytest.mark.parametrize("control", [
+        ControlLaw(), ControlLaw(kind="constant", value=3.0),
+        ControlLaw(kind="bloch_x_proportional", gain=5.0)], ids=lambda c: c.kind)
+    @pytest.mark.parametrize("batch", [2, 257, 2560])
+    def test_states_and_clipped_mass_bit_for_bit(self, control, batch):
+        spec = qubit_spec(kappa=1.0, gamma=6.0, control=control)
+        kernel = integrate._EulerMaruyamaKernel(spec, IntegratorConfig(dt=1e-3, t_final=0.3))
+        rng = np.random.default_rng(batch)
+        # even rows start on the x pole, where zero control keeps every
+        # imaginary part an exact +-0; odd rows start near random pure states
+        start = [bloch_to_density((1, 0, 0)).reshape(-1)] * batch
+        for b in range(1, batch, 2):
+            n = rng.normal(size=3)
+            start[b] = bloch_to_density(0.999 * n / np.linalg.norm(n)).reshape(-1)
+        v = np.array(start)
+        noise = rng.normal(0.0, np.sqrt(1e-3), (300, batch))
+        clipped = 0
+        for dw in noise:
+            want, want_mags = reference_step(kernel, v, dw)
+            v, mags = kernel.step(v, dw)
+            assert same_bits(v, want)
+            assert same_bits(mags, want_mags)
+            clipped += int(np.count_nonzero(mags))
+        assert 0 < clipped < 300 * batch
+
+    @pytest.mark.parametrize("bad_rows", [
+        {3: "lost"}, {5: "over"}, {2: "lost", 6: "over"}, {2: "over", 6: "lost"},
+        {4: "negative"}])
+    def test_failures_name_the_same_row(self, bad_rows):
+        rng = np.random.default_rng(11)
+        v = np.array([random_density(2, min_eig=0.05, seed=s).reshape(-1) for s in range(8)])
+        for row, kind in bad_rows.items():
+            v[row] = {"lost": np.full(4, np.nan),
+                      "over": np.diag([1.3, -0.3]).reshape(-1),
+                      "negative": -v[row]}[kind]
+        v += 1e-3 * rng.normal(size=v.shape) * (1 + 1j)
+        with pytest.raises(IntegrationError) as want:
+            reference_project_2x2(v.copy(), 0.1)
+        with pytest.raises(IntegrationError) as got:
+            _project_batch(v.copy(), 2, 0.1)
+        assert str(got.value) == str(want.value)
+        assert got.value.trajectory == want.value.trajectory == min(bad_rows)
+        assert got.value.magnitude == want.value.magnitude
 
 
 class TestIntegrateMasterEquation:
