@@ -26,9 +26,10 @@ from .ensemble import TRAJECTORY_ROWS, WorkerError, run_ensemble
 from .entropy import BOUND_SIGN_TOL, build_bound_report, entropy_rate_bound
 from .integrate import IntegrationError
 from .integrate import simulate_trajectory  # noqa: F401  bench/tracer.py counts calls made here
-from .linalg import ValidationError
+from .linalg import ValidationError, validate_densities
 from .qubit import (
     QubitScenario,
+    bloch_components,
     bloch_to_density,
     density_to_bloch,
     qubit_model,
@@ -67,22 +68,28 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 def _state_columns(dim: int) -> list[str]:
     if dim == 2:
         return ["x", "y", "z"]
-    cols = []
-    for i in range(dim):
-        for j in range(dim):
-            cols += [f"rho_{i}_{j}_re", f"rho_{i}_{j}_im"]
-    return cols
+    return [f"rho_{i}_{j}_{part}" for i in range(dim) for j in range(dim) for part in ("re", "im")]
 
 
-def _state_cells(rho: np.ndarray) -> list[str]:
-    if rho.shape[0] == 2:
-        b = density_to_bloch(rho)
-        return [_fmt(b.x), _fmt(b.y), _fmt(b.z)]
-    cells = []
-    for i in range(rho.shape[0]):
-        for j in range(rho.shape[1]):
-            cells += [_fmt(rho[i, j].real), _fmt(rho[i, j].imag)]
-    return cells
+def _cells(times, states, *values) -> np.ndarray:
+    """CSV cells as one float array: t, the state columns, then ``values``.
+
+    ``states`` holds a (d, d) state per cell of ``values``, whose first axis
+    follows ``times``.  A qubit state is checked (``validate_densities``) and
+    becomes Bloch (x, y, z); otherwise each entry becomes its (re, im) pair.
+    """
+    if states.shape[-1] == 2:
+        validate_densities(states)
+        state = bloch_components(states)
+    else:
+        state = np.stack([states.real, states.imag], axis=-1).reshape(*states.shape[:-2], -1)
+    t = np.broadcast_to(np.reshape(times, (-1,) + (1,) * (state.ndim - 2)), state.shape[:-1])
+    return np.concatenate([t[..., None], state] + [v[..., None] for v in values], axis=-1)
+
+
+def _text(rows):
+    """Format rows of floats, 17 significant digits per cell."""
+    return ([format(x, ".17g") for x in row] for row in rows)
 
 
 def _default_workers() -> int:
@@ -115,31 +122,26 @@ def _ensure_outdir(path: str) -> None:
     os.makedirs(path, exist_ok=True)
 
 
-def _row(t, rho: np.ndarray, *values) -> list[str]:
-    return [_fmt(t)] + _state_cells(rho) + [_fmt(v) for v in values]
-
-
 def _write_ensemble_csv(cfg: RunConfig, stats) -> str:
     header = ["t"] + _state_columns(cfg.model.dim) + ["S_mean", "S_se", "quantumness_mean"]
-    rows = [
-        _row(t, stats.mean_state[k], stats.mean_entropy[k], stats.entropy_se[k],
-             stats.quantumness_mean[k])
-        for k, t in enumerate(stats.times)
-    ]
+    cells = _cells(stats.times, stats.mean_state, stats.mean_entropy, stats.entropy_se,
+                   stats.quantumness_mean)
     path = os.path.join(cfg.output_path, "ensemble.csv")
-    _write_csv(path, header, rows)
+    _write_csv(path, header, _text(cells.tolist()))
     return path
 
 
 def _write_trajectory_csvs(cfg: RunConfig, start: int, times, rows: dict) -> None:
     """Trajectory sink of ``run_ensemble``: one CSV per row of a chunk."""
     header = ["t"] + _state_columns(cfg.model.dim) + ["S", "dW", "repair", "y"]
-    for b in range(rows["states"].shape[1]):
-        lines = [_row(t, *(rows[key][k, b] for key in TRAJECTORY_ROWS))
-                 for k, t in enumerate(times)]
-        _write_csv(
-            os.path.join(cfg.output_path, f"trajectory_{start + b:05d}.csv"), header, lines
-        )
+    try:
+        cells = _cells(times, *(rows[key] for key in TRAJECTORY_ROWS))
+    except ValidationError as err:
+        k, b = err.index
+        raise ValidationError(f"trajectory {start + b} at t = {_fmt(times[k])}: {err}") from None
+    for b in range(cells.shape[1]):
+        _write_csv(os.path.join(cfg.output_path, f"trajectory_{start + b:05d}.csv"), header,
+                   _text(cells[:, b].tolist()))
 
 
 def _write_bound_csv(cfg: RunConfig, report) -> str:

@@ -29,7 +29,7 @@ from .integrate import (
     _stack_rows,
 )
 from .integrate import wiener_increment  # noqa: F401  bench/tracer.py wraps it here
-from .linalg import ValidationError, dagger, validate_density
+from .linalg import ValidationError, dagger, validate_densities, validate_density
 from .model import ModelSpec
 
 # Trajectories per partial sum; constant so that chunk boundaries (and
@@ -239,8 +239,7 @@ def run_ensemble(model: ModelSpec, rho0, cfg: EnsembleConfig,
                              trajectory_sink)
 
     mean_state = totals["state"] / n
-    for slot in range(mean_state.shape[0]):
-        mean_state[slot] = validate_density(mean_state[slot])
+    validate_densities(mean_state)
     return EnsembleStatistics(
         times=totals["times"],
         mean_state=mean_state,

@@ -173,7 +173,9 @@ def _project_batch(v: np.ndarray, dim: int, tol: float) -> tuple[np.ndarray, np.
 
     Returns the repaired batch and the clipped mass per row.  Raises
     IntegrationError naming the first row whose clipped mass exceeds
-    ``tol`` or that has no positive mass left.
+    ``tol`` or that has no positive mass left; a row with a non-finite
+    entry has none (the 2x2 branch reads only the real diagonal and the
+    off-diagonal entries).
     """
     if dim == 2:
         # the numpy operations, and their order, of the plain full-batch
@@ -193,8 +195,10 @@ def _project_batch(v: np.ndarray, dim: int, tol: float) -> tuple[np.ndarray, np.
         clip = lam_min < 0.0
         magnitude = np.where(clip, -lam_min, 0.0)
         alive = p + r > 0.0
-        if not alive.all() or magnitude.max() > tol:
-            _raise_first_failure(~alive, magnitude, tol)
+        # max(-lo, 0) is magnitude.max(); a non-finite entry leaves lo NaN or -inf
+        lo = lam_min.min()
+        if not (alive.all() and math.isfinite(lo) and max(-lo, 0.0) <= tol):
+            _raise_first_failure(~alive | ~np.isfinite(lam_min), magnitude, tol)
         # clipped rows may carry a nonpositive trace; their renormalized
         # values are overwritten below, so only guard the division
         safe = np.where(np.abs(trace) > 0.0, trace, 1.0).astype(np.complex128)
@@ -216,6 +220,8 @@ def _project_batch(v: np.ndarray, dim: int, tol: float) -> tuple[np.ndarray, np.
         return out, magnitude
 
     mats = v.reshape(-1, dim, dim)
+    # a non-finite row becomes zero, so it is lost, not fed to the eigensolver
+    mats = np.where(np.isfinite(mats).all(axis=(1, 2))[:, None, None], mats, 0.0)
     mats = 0.5 * (mats + np.transpose(mats.conj(), (0, 2, 1)))
     w = np.linalg.eigvalsh(mats)
     magnitude = np.where(w < 0.0, -w, 0.0).sum(axis=1)

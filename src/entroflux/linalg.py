@@ -27,6 +27,8 @@ EIG_FLOOR = 1e-12
 class ValidationError(ValueError):
     """An operator or state failed a structural precondition."""
 
+    index = None  # the failing state's position in a stack, from validate_densities
+
 
 def as_operator(m, name: str = "operator") -> np.ndarray:
     """Coerce to a square complex128 matrix with finite entries."""
@@ -79,6 +81,28 @@ def validate_density(
             f"density matrix has negative eigenvalue {w[0]:.3e} below -{eig_tol:.1e}"
         )
     return a
+
+
+def validate_densities(states) -> None:
+    """``validate_density``'s checks on a (..., d, d) stack of states, as whole arrays.
+
+    The first rejected state in C order raises the ValidationError that
+    ``validate_density`` gives it, with its position in the stack as ``index``.
+    """
+    a = np.asarray(states, dtype=np.complex128)
+    flat = a.reshape(-1, *a.shape[-2:])
+    finite = np.isfinite(flat).all(axis=(1, 2))
+    m = np.where(finite[:, None, None], flat, 0.0)  # keeps NaN out of the eigensolver
+    adj = np.conj(np.swapaxes(m, 1, 2))
+    ok = finite & (np.abs(m - adj).max(axis=(1, 2)) <= HERMITICITY_TOL)
+    ok &= np.abs(np.trace(m, axis1=1, axis2=2) - 1.0) <= TRACE_TOL
+    ok &= np.linalg.eigvalsh((m + adj) / 2.0)[:, 0] >= -EIGENVALUE_TOL
+    for i in np.flatnonzero(~ok):
+        try:
+            validate_density(flat[i])
+        except ValidationError as err:
+            err.index = tuple(int(k) for k in np.unravel_index(i, a.shape[:-2]))
+            raise
 
 
 @dataclass(frozen=True)

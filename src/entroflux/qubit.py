@@ -49,16 +49,18 @@ def bloch_to_density(b) -> np.ndarray:
     )
 
 
+def bloch_components(states: np.ndarray) -> np.ndarray:
+    """(x, y, z) Pauli expectations, on a new last axis, of a (..., 2, 2) stack; unchecked."""
+    a, b, c, d = (states[..., i, j] for i in (0, 1) for j in (0, 1))
+    return np.stack([(b + c).real, (1j * (b - c)).real, (a - d).real], axis=-1)
+
+
 def density_to_bloch(rho) -> BlochVector:
     """Pauli expectations (Tr sigma_x rho, Tr sigma_y rho, Tr sigma_z rho)."""
     r = validate_density(rho)
     if r.shape[0] != 2:
         raise ValidationError(f"Bloch coordinates require a qubit, got dim {r.shape[0]}")
-    return BlochVector(
-        x=float((r[0, 1] + r[1, 0]).real),
-        y=float((1j * (r[0, 1] - r[1, 0])).real),
-        z=float((r[0, 0] - r[1, 1]).real),
-    )
+    return BlochVector(*bloch_components(r).tolist())
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,22 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from entroflux import ensemble
+from entroflux import cli, ensemble, linalg
 from entroflux.cli import main
 from entroflux.config import ConfigError, load_config
-from entroflux.ensemble import trajectory_seed
-from entroflux.integrate import simulate_trajectory
-from entroflux.linalg import random_density, random_hermitian, random_operator
+from entroflux.ensemble import run_ensemble, trajectory_seed
+from entroflux.integrate import TRAJECTORY_ROWS, simulate_trajectory
+from entroflux.linalg import (
+    ValidationError,
+    random_density,
+    random_hermitian,
+    random_operator,
+    validate_density,
+)
 from entroflux.qubit import density_to_bloch
 
 
@@ -279,6 +286,139 @@ class TestSimulateCommand:
             for cell in row.split(","):
                 value = float(cell)  # parseable
                 assert format(value, ".17g") == cell  # round-trips exactly
+
+
+def reference_header(dim, values):
+    if dim == 2:
+        state = ["x", "y", "z"]
+    else:
+        state = [f"rho_{i}_{j}_{part}" for i in range(dim) for j in range(dim)
+                 for part in ("re", "im")]
+    return ",".join(["t"] + state + values) + "\n"
+
+
+def reference_row(t, rho, *values):
+    """One CSV row formatted cell by cell, each state on its own, as the
+    writer did before it formatted whole arrays."""
+    def fmt(x):
+        return format(float(x), ".17g")
+    if rho.shape[0] == 2:
+        r = validate_density(rho)
+        state = [(r[0, 1] + r[1, 0]).real, (1j * (r[0, 1] - r[1, 0])).real,
+                 (r[0, 0] - r[1, 1]).real]
+    else:
+        state = [part for i in range(rho.shape[0]) for j in range(rho.shape[1])
+                 for part in (rho[i, j].real, rho[i, j].imag)]
+    return ",".join(fmt(cell) for cell in [t, *state, *values]) + "\n"
+
+
+def d4_explicit_overrides():
+    rng = np.random.default_rng(4)
+    ops = {"hamiltonian": random_hermitian(4, rng),
+           "probe": random_hermitian(4, rng, scale=0.5),
+           "decoherence": random_operator(4, rng, scale=0.5)}
+    scenario = {"kind": "explicit", "dim": 4, "control": {"kind": "constant", "value": 0.5},
+                **{name: pairs(op) for name, op in ops.items()}}
+    return {"scenario": scenario,
+            "initial_state": {"matrix": pairs(random_density(4, min_eig=0.05, seed=3))}}
+
+
+class TestCsvFormatting:
+    @pytest.mark.parametrize("control", [
+        {"kind": "zero"}, {"kind": "constant", "value": 3.0},
+        {"kind": "bloch_x_proportional", "gain": 5.0}, "explicit_d4"],
+        ids=lambda c: c if isinstance(c, str) else c["kind"])
+    def test_csvs_are_the_cell_by_cell_bytes(self, tmp_path, control):
+        # every trajectory CSV and ensemble.csv of a two-chunk run on two
+        # workers must be, byte for byte, the rows formatted state by state
+        path = tmp_path / "c.json"
+        if control == "explicit_d4":
+            overrides = d4_explicit_overrides()
+        else:
+            overrides = {"scenario": {"kind": "qubit", "kappa": 1.0, "alpha": 6.0,
+                                      "control": control}}
+        write_config(path, emit=["ensemble", "trajectories"], **overrides)
+        raw = json.loads(path.read_text())
+        raw["ensemble"]["n_trajectories"] = 300
+        raw["ensemble"]["integrator"].update(t_final=0.05, record_stride=10)
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(path), "--workers", "2",
+                     "--out", str(out)]) == 0
+
+        cfg = load_config(str(path))
+        dim = cfg.model.dim
+        want = {}
+
+        def sink(start, times, rows):
+            for b in range(rows["states"].shape[1]):
+                want[f"trajectory_{start + b:05d}.csv"] = reference_header(
+                    dim, ["S", "dW", "repair", "y"]) + "".join(
+                    reference_row(t, *(rows[key][k, b] for key in TRAJECTORY_ROWS))
+                    for k, t in enumerate(times))
+
+        stats = run_ensemble(cfg.model, cfg.initial_state, cfg.ensemble, trajectory_sink=sink)
+        want["ensemble.csv"] = reference_header(
+            dim, ["S_mean", "S_se", "quantumness_mean"]) + "".join(
+            reference_row(t, stats.mean_state[k], stats.mean_entropy[k], stats.entropy_se[k],
+                          stats.quantumness_mean[k])
+            for k, t in enumerate(stats.times))
+        assert sorted(p.name for p in out.iterdir()) == sorted(want)
+        for name, text in want.items():
+            assert (out / name).read_bytes() == text.encode(), name
+        if control == {"kind": "zero"}:
+            y_cells = [line.split(",")[2] for text in want.values()
+                       for line in text.splitlines()[1:]]
+            assert len(y_cells) == 301 * 6 and "-0" not in y_cells
+
+    @pytest.mark.parametrize("corrupt", ["trace", "hermiticity"])
+    def test_invalid_state_in_a_chunk_is_named(self, tmp_path, corrupt):
+        cfg = load_config(write_config(tmp_path / "c.json", emit=["trajectories"]))
+        cfg = replace(cfg, output_path=str(tmp_path / "run"))
+        os.makedirs(cfg.output_path)
+        times = np.array([0.0, 0.03, 0.06])
+        states = np.array([random_density(2, seed=s) for s in range(12)]).reshape(3, 4, 2, 2)
+        rows = {"states": states, **{key: np.zeros((3, 4)) for key in TRAJECTORY_ROWS[1:]}}
+        cli._write_trajectory_csvs(cfg, 256, times, rows)  # a valid chunk passes
+        assert len(os.listdir(cfg.output_path)) == 4
+
+        bad = {"trace": 1.1 * states[1, 2],
+               "hermiticity": states[1, 2] + np.array([[0.0, 1e-6], [0.0, 0.0]])}[corrupt]
+        rows["states"] = states.copy()
+        rows["states"][1, 2] = bad
+        with pytest.raises(ValidationError) as want:
+            validate_density(bad)
+        with pytest.raises(ValidationError) as got:
+            cli._write_trajectory_csvs(cfg, 256, times, rows)
+        assert str(got.value) == f"trajectory 258 at t = 0.029999999999999999: {want.value}"
+
+    def test_states_are_not_converted_one_by_one(self, tmp_path, monkeypatch):
+        # the number of per-state conversions and checks must not grow with
+        # the number of trajectories written
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "density_to_bloch", counted(cli.density_to_bloch))
+        monkeypatch.setattr(linalg, "validate_density", counted(linalg.validate_density))
+        counts = []
+        for n in (30, 300):
+            path = tmp_path / f"c{n}.json"
+            write_config(path, emit=["ensemble", "trajectories"])
+            raw = json.loads(path.read_text())
+            raw["ensemble"]["n_trajectories"] = n
+            raw["ensemble"]["integrator"].update(t_final=0.05, record_stride=10)
+            path.write_text(json.dumps(raw))
+            calls.clear()
+            assert main(["simulate", "--config", str(path), "--workers", "1",
+                         "--out", str(tmp_path / f"run{n}")]) == 0
+            assert len(os.listdir(tmp_path / f"run{n}")) == n + 1
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestVerifyBoundCommand:

@@ -167,6 +167,22 @@ class TestProjectToPhysical:
             _project_batch(lost, dim, 1.0)
         assert err.value.trajectory == 2
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("entry", ["diagonal", "off_diagonal"])
+    @pytest.mark.parametrize("tol", [0.1, np.inf])
+    def test_non_finite_row_has_lost_its_mass(self, dim, entry, tol):
+        # an infinite entry used to come back from the 2x2 branch as a NaN
+        # row with clipped mass 0, and to stop the general solver with a
+        # LinAlgError; both must name the row as lost, before any later row
+        valid = (np.eye(dim) / dim).astype(complex).reshape(-1)
+        over = np.diag([1.3] + [0.0] * (dim - 2) + [-0.3]).astype(complex).reshape(-1)
+        bad = valid.copy()
+        bad[0 if entry == "diagonal" else 1] = np.inf
+        with pytest.raises(IntegrationError, match="lost all positive mass") as err:
+            with np.errstate(invalid="ignore"):
+                _project_batch(np.stack([valid, bad, over]), dim, tol)
+        assert err.value.trajectory == 1
+
 
 class TestEmStep:
     def test_fixed_point_for_any_draw(self):

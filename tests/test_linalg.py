@@ -14,6 +14,7 @@ from entroflux.linalg import (
     random_density,
     random_hermitian,
     trace_distance,
+    validate_densities,
     validate_density,
 )
 from entroflux.qubit import SIGMA_X, SIGMA_Y, SIGMA_Z, SIGMA_MINUS, SIGMA_PLUS
@@ -158,6 +159,60 @@ class TestValidateDensity:
         m = np.array([[0.5, 0.3], [0.0, 0.5]])
         with pytest.raises(ValidationError, match="asymmetry"):
             validate_density(m)
+
+
+class TestValidateDensities:
+    def corrupt(self, rho, kind):
+        return {"trace": 1.1 * rho,
+                "hermiticity": rho + np.array([[0.0, 1e-6], [0.0, 0.0]]),
+                "negative": np.diag([1.2, -0.2]).astype(complex),
+                "nan": np.full((2, 2), np.nan, dtype=complex)}[kind]
+
+    def stack(self, shape, dim=2):
+        states = [random_density(dim, seed=s) for s in range(int(np.prod(shape)))]
+        return np.array(states).reshape(*shape, dim, dim)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_valid_stack_passes(self, dim):
+        validate_densities(self.stack((6, 5), dim))
+
+    @pytest.mark.parametrize("kind", ["trace", "hermiticity", "negative", "nan"])
+    def test_first_rejected_state_gets_validate_density_text(self, kind):
+        states = self.stack((6, 5))
+        states[2, 4] = self.corrupt(states[2, 4], kind)
+        states[3, 0] = self.corrupt(states[3, 0], "trace")  # later in C order
+        with pytest.raises(ValidationError) as want:
+            validate_density(states[2, 4])
+        with pytest.raises(ValidationError) as got:
+            validate_densities(states)
+        assert str(got.value) == str(want.value)
+        assert got.value.index == (2, 4)
+
+    def test_rejects_exactly_what_validate_density_rejects(self):
+        # perturbations around each tolerance: the batched check must agree
+        # state by state with validate_density; odd seeds perturb a pure
+        # state along a Hermitian traceless direction, so only its smallest
+        # eigenvalue can fail
+        rng = np.random.default_rng(5)
+        for seed in range(300):
+            scale = 10.0 ** rng.uniform(-11.5, -9.0)
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            if seed % 2:
+                psi = g[0] / np.linalg.norm(g[0])
+                h = g + dagger(g)
+                rho = np.outer(psi, psi.conj()) + scale * (h - np.trace(h) / 2 * np.eye(2))
+            else:
+                rho = random_density(2, seed=seed) + scale * g
+            try:
+                validate_density(rho)
+                rejected = False
+            except ValidationError:
+                rejected = True
+            if rejected:
+                with pytest.raises(ValidationError):
+                    validate_densities(rho[None])
+            else:
+                validate_densities(rho[None])
 
 
 def test_trace_distance_orthogonal_pure_states():
