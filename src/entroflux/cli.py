@@ -50,14 +50,6 @@ WORKERS_ENV = "ENTROFLUX_WORKERS"
 SELFTEST_CORRUPT_ENV = "_ENTROFLUX_SELFTEST_CORRUPT"
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
-def _flag(b) -> str:
-    return "1" if b else "0"
-
-
 def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -138,7 +130,7 @@ def _write_trajectory_csvs(cfg: RunConfig, start: int, times, rows: dict) -> Non
         cells = _cells(times, *(rows[key] for key in TRAJECTORY_ROWS))
     except ValidationError as err:
         k, b = err.index
-        raise ValidationError(f"trajectory {start + b} at t = {_fmt(times[k])}: {err}") from None
+        raise IntegrationError(f"trajectory {start + b} at t = {times[k]:.17g}: {err}") from None
     for b in range(cells.shape[1]):
         _write_csv(os.path.join(cfg.output_path, f"trajectory_{start + b:05d}.csv"), header,
                    _text(cells[:, b].tolist()))
@@ -146,19 +138,10 @@ def _write_trajectory_csvs(cfg: RunConfig, start: int, times, rows: dict) -> Non
 
 def _write_bound_csv(cfg: RunConfig, report) -> str:
     header = ["t", "lhs_rate", "lhs_se", "rhs_bound", "sufficient", "violation"]
-    rows = [
-        [
-            _fmt(report.times[k]),
-            _fmt(report.lhs_rate[k]),
-            _fmt(report.lhs_se[k]),
-            _fmt(report.rhs_bound[k]),
-            _flag(report.sufficient_flag[k]),
-            _flag(report.violation_flag[k]),
-        ]
-        for k in range(len(report.times))
-    ]
+    cells = np.column_stack([report.times, report.lhs_rate, report.lhs_se, report.rhs_bound,
+                             report.sufficient_flag, report.violation_flag])
     path = os.path.join(cfg.output_path, "bound_report.csv")
-    _write_csv(path, header, rows)
+    _write_csv(path, header, _text(cells.tolist()))
     return path
 
 
@@ -231,11 +214,10 @@ def cmd_sweep_alpha(args) -> int:
         hits = np.flatnonzero(bounds >= -BOUND_SIGN_TOL)
         if hits.size:
             first = float(times[hits[0]])
-        rows.append(
-            [_fmt(alpha), _fmt(z_threshold(alpha)), _fmt(bounds.min()), _fmt(first)]
-        )
+        rows.append([alpha, z_threshold(alpha), float(bounds.min()), first])
     path = os.path.join(cfg.output_path, "sweep.csv")
-    _write_csv(path, ["alpha", "z_threshold", "min_rhs_bound", "first_sufficient_time"], rows)
+    _write_csv(path, ["alpha", "z_threshold", "min_rhs_bound", "first_sufficient_time"],
+               _text(rows))
     print(path)
     return EXIT_OK
 

@@ -164,12 +164,9 @@ def _parse_integrator(node) -> IntegratorConfig:
         node, {"dt", "t_final", "floor", "repair_tolerance", "record_stride"},
         "ensemble.integrator",
     )
-    dt = _number(node, "dt", "ensemble.integrator")
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
     try:
         return IntegratorConfig(
-            dt=float(dt),
+            dt=float(_number(node, "dt", "ensemble.integrator")),
             t_final=float(_number(node, "t_final", "ensemble.integrator")),
             floor=float(_number(node, "floor", "ensemble.integrator", default=1e-12)),
             repair_tolerance=float(

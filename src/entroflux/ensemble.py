@@ -25,11 +25,12 @@ from .integrate import (
     TRAJECTORY_ROWS,
     IntegrationError,
     IntegratorConfig,
+    _initial_state,
     _run_em_batch,
     _stack_rows,
 )
 from .integrate import wiener_increment  # noqa: F401  bench/tracer.py wraps it here
-from .linalg import ValidationError, dagger, validate_densities, validate_density
+from .linalg import ValidationError, validate_densities
 from .model import ModelSpec
 
 # Trajectories per partial sum; constant so that chunk boundaries (and
@@ -102,8 +103,6 @@ def _chunk_sums(payload, keep_rows: bool = False):
     model, rho0, integrator, master_seed, start, stop = payload
     rngs = [np.random.default_rng(trajectory_seed(master_seed, i)) for i in range(start, stop)]
     chunks = [slice(a, a + CHUNK_SIZE) for a in range(0, stop - start, CHUNK_SIZE)]
-    comm = dagger(model.decoherence) @ model.decoherence - \
-        model.decoherence @ dagger(model.decoherence)
     parts = [{key: [] for key in _CHECKPOINT_SUMS} for _ in chunks]  # one sum per checkpoint
     kept = []
     repair = np.zeros(stop - start)
@@ -111,7 +110,7 @@ def _chunk_sums(payload, keep_rows: bool = False):
     def record(rows):
         nonlocal repair
         states, entropies = rows["states"], rows["entropies"]
-        q = np.einsum("ij,bji->b", comm, states).real
+        q = np.einsum("ij,bji->b", model.quantumness_operator, states).real
         per_row = {"state": states, "state_sq": states.real ** 2 + states.imag ** 2,
                    "s": entropies, "s_sq": entropies ** 2, "q": q, "q_sq": q ** 2}
         for part, chunk in zip(parts, chunks):
@@ -225,7 +224,7 @@ def run_ensemble(model: ModelSpec, rho0, cfg: EnsembleConfig,
     freed after its span.  These are the rows the statistics are summed
     from.
     """
-    rho = validate_density(rho0)
+    rho = _initial_state(model, rho0)
     n = cfg.n_trajectories
     payloads = [(model, rho, cfg.integrator, cfg.master_seed, start, stop)
                 for start, stop in _spans(n, cfg.worker_count)]

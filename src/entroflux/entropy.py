@@ -145,7 +145,8 @@ def entropy_rate_bound(model: ModelSpec, mean_state) -> float:
             f"{hermiticity_defect(model.probe):.3e}"
         )
     r = validate_density(mean_state)
-    return quantumness(model.decoherence, r) - 4.0 * observable_variance(model.probe, r)
+    var = observable_variance(model.probe, r)
+    return float(np.trace(model.quantumness_operator @ r).real) - 4.0 * var
 
 
 # Rate-bound values within this distance of zero are treated as zero:

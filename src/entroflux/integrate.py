@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import entropy_of_states
-from .linalg import ValidationError, dagger, validate_density
-from .model import ModelSpec
+from .linalg import ValidationError, as_operator, dagger, validate_density
+from .model import ModelSpec, hamiltonian_superop, innovation_superop
 
 # A trajectory whose accumulated clipped mass exceeds this is flagged as
 # unreliable (the flag is informational; per-step failures raise).
@@ -127,27 +127,6 @@ def wiener_increment(rng: np.random.Generator, dt: float, size: int | None = Non
     )
 
 
-# --- superoperators on row-major vectorized states -----------------------
-
-def _left(a: np.ndarray) -> np.ndarray:
-    return np.kron(a, np.eye(a.shape[0]))
-
-
-def _right(b: np.ndarray) -> np.ndarray:
-    return np.kron(np.eye(b.shape[0]), b.T)
-
-
-def dissipator_superop(a: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> D[a] rho acting on vec(rho)."""
-    ada = dagger(a) @ a
-    return np.kron(a, a.conj()) - 0.5 * (_left(ada) + _right(ada))
-
-
-def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> -i [h, rho] acting on vec(rho)."""
-    return -1j * (_left(h) - _right(h))
-
-
 # --- physicality repair ---------------------------------------------------
 
 def _raise_first_failure(lost: np.ndarray, magnitude: np.ndarray, tol: float) -> None:
@@ -226,20 +205,13 @@ def _project_batch(v: np.ndarray, dim: int, tol: float) -> tuple[np.ndarray, np.
     w = np.linalg.eigvalsh(mats)
     magnitude = np.where(w < 0.0, -w, 0.0).sum(axis=1)
     _raise_first_failure(~(w[:, -1] > 0.0), magnitude, tol)
-    out = np.empty_like(mats)
-    needs_clip = w[:, 0] < 0.0
-    for i in range(mats.shape[0]):
-        m = mats[i]
-        if needs_clip[i]:
-            wi, ui = np.linalg.eigh(m)
-            m = (ui * np.maximum(wi, 0.0)) @ dagger(ui)
-        tr = m.trace().real
-        if tr <= 0.0:
-            raise IntegrationError(
-                "state lost all positive mass during a step", trajectory=i
-            )
-        out[i] = m / tr
-    return out.reshape(v.shape), magnitude
+    clip = np.flatnonzero(w[:, 0] < 0.0)
+    if clip.size:
+        wc, uc = np.linalg.eigh(mats[clip])
+        mats[clip] = (uc * np.maximum(wc, 0.0)[:, None, :]) @ np.transpose(uc.conj(), (0, 2, 1))
+    tr = np.trace(mats, axis1=1, axis2=2).real
+    _raise_first_failure(tr <= 0.0, magnitude, tol)
+    return (mats / tr[:, None, None]).reshape(v.shape), magnitude
 
 
 def project_to_physical(m, tol: float = np.inf) -> tuple[np.ndarray, float]:
@@ -248,9 +220,7 @@ def project_to_physical(m, tol: float = np.inf) -> tuple[np.ndarray, float]:
     Symmetrizes, clips negative eigenvalues to zero and renormalizes the
     trace; returns the repaired state and the clipped mass.
     """
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    a = as_operator(m, "matrix")
     out, mag = _project_batch(a.reshape(1, -1), a.shape[0], tol)
     return out.reshape(a.shape), float(mag[0])
 
@@ -268,21 +238,14 @@ class _EulerMaruyamaKernel:
         self.dim = model.dim
         self.dt = cfg.dt
         self.tol = cfg.repair_tolerance
-        drift = dissipator_superop(model.probe) + dissipator_superop(model.decoherence)
         law = model.control
         self.bloch_gain = None
-        if law.kind == "constant" and law.value != 0.0:
-            drift = drift + law.value * hamiltonian_superop(model.hamiltonian)
-        elif law.kind == "bloch_x_proportional":
-            if model.dim != 2:
-                raise ValidationError(
-                    "bloch_x_proportional control requires a two-level system"
-                )
+        if law.kind == "bloch_x_proportional":
             self.bloch_gain = law.gain
             self.ham_t = hamiltonian_superop(model.hamiltonian).T.copy()
         l = model.probe
-        self.drift_t = drift.T.copy()
-        self.lin_t = (_left(l) + _right(dagger(l))).T.copy()
+        self.drift_t = model.generator(law.value if law.kind == "constant" else 0.0).T.copy()
+        self.lin_t = innovation_superop(l).T.copy()
         self.k_meas = (l + dagger(l)).T.reshape(-1).copy()
 
     def measured_mean(self, v: np.ndarray) -> np.ndarray:
@@ -339,6 +302,16 @@ def em_step(
         W=state.W + dW,
         y=state.y + float(tr_meas[0]) * cfg.dt + dW,
     )
+
+
+def _initial_state(model: ModelSpec, rho0) -> np.ndarray:
+    """Validate ``rho0`` as a density matrix of the model's dimension."""
+    rho = validate_density(rho0)
+    if rho.shape[0] != model.dim:
+        raise ValidationError(
+            f"initial state dimension {rho.shape[0]} does not match model dim {model.dim}"
+        )
+    return rho
 
 
 def _stack_rows(kept: list[dict]) -> dict:
@@ -426,11 +399,7 @@ def simulate_trajectory(
     is recorded at every checkpoint; the record also carries per-interval
     noise sums, clipped repair mass and the measurement record.
     """
-    rho = validate_density(rho0)
-    if rho.shape[0] != model.dim:
-        raise ValidationError(
-            f"initial state dimension {rho.shape[0]} does not match model dim {model.dim}"
-        )
+    rho = _initial_state(model, rho0)
     kept = []
     times = _run_em_batch(model, rho, cfg, [np.random.default_rng(seed)], kept.append)
     out = _stack_rows(kept)
@@ -456,14 +425,8 @@ def integrate_master_equation(
     linear and precomputed once.  Records carry zero noise and repair
     columns so the result is interchangeable with trajectory records.
     """
-    rho = validate_density(rho0)
-    if rho.shape[0] != model.dim:
-        raise ValidationError(
-            f"initial state dimension {rho.shape[0]} does not match model dim {model.dim}"
-        )
-    gen = dissipator_superop(model.probe) + dissipator_superop(model.decoherence)
-    if u_fixed != 0.0:
-        gen = gen + u_fixed * hamiltonian_superop(model.hamiltonian)
+    rho = _initial_state(model, rho0)
+    gen = model.generator(u_fixed)
 
     n_steps = cfg.n_steps
     stride = cfg.record_stride

@@ -14,6 +14,7 @@ equation whose right-hand side is ``lindblad_rhs``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,7 +71,8 @@ class ModelSpec:
     ``hamiltonian`` must be Hermitian; ``probe`` and ``decoherence`` are
     unrestricted d x d complex matrices.  Rates are folded into the
     operators themselves (e.g. a probe measured at rate kappa enters as
-    sqrt(kappa) times the bare operator).
+    sqrt(kappa) times the bare operator).  Derived operators are built
+    once per model, on first use, and are shared: do not modify them.
     """
 
     dim: int
@@ -93,12 +95,31 @@ class ModelSpec:
             raise ValidationError(
                 f"hamiltonian is not Hermitian: max asymmetry {defect:.3e}"
             )
+        if self.control.kind == "bloch_x_proportional" and self.dim != 2:
+            raise ValidationError("bloch_x_proportional control requires a two-level system")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "probe", l)
         object.__setattr__(self, "decoherence", m)
 
     def probe_is_hermitian(self, tol: float = 1e-10) -> bool:
         return hermiticity_defect(self.probe) <= tol
+
+    @cached_property
+    def dissipative_superop(self) -> np.ndarray:
+        """Matrix of rho -> D[L] rho + D[M] rho acting on vec(rho)."""
+        return dissipator_superop(self.probe) + dissipator_superop(self.decoherence)
+
+    @cached_property
+    def quantumness_operator(self) -> np.ndarray:
+        """[M^dag, M], whose expectation is the quantumness of the decoherence."""
+        m = self.decoherence
+        return dagger(m) @ m - m @ dagger(m)
+
+    def generator(self, u: float) -> np.ndarray:
+        """Matrix of the master-equation right-hand side at a fixed control input u."""
+        if u != 0.0:
+            return self.dissipative_superop + u * hamiltonian_superop(self.hamiltonian)
+        return self.dissipative_superop
 
 
 def dissipator(a, rho) -> np.ndarray:
@@ -134,12 +155,7 @@ def sme_increment(model: ModelSpec, rho, dt: float, dW: float) -> np.ndarray:
     if dt <= 0:
         raise ValidationError("dt must be positive")
     r = validate_density(rho)
-    u = evaluate_control(model.control, r)
-    drift = dissipator(model.probe, r) + dissipator(model.decoherence, r)
-    if u != 0.0:
-        h = model.hamiltonian
-        drift = drift - 1j * u * (h @ r - r @ h)
-    return drift * dt + innovation(model.probe, r) * dW
+    return lindblad_rhs(model, r) * dt + innovation(model.probe, r) * dW
 
 
 def lindblad_rhs(model: ModelSpec, rho, u_override: float | None = None) -> np.ndarray:
@@ -155,3 +171,29 @@ def lindblad_rhs(model: ModelSpec, rho, u_override: float | None = None) -> np.n
         h = model.hamiltonian
         out = out - 1j * u * (h @ r - r @ h)
     return out
+
+
+# --- superoperators on row-major vectorized states -----------------------
+
+def _left(a: np.ndarray) -> np.ndarray:
+    return np.kron(a, np.eye(a.shape[0]))
+
+
+def _right(b: np.ndarray) -> np.ndarray:
+    return np.kron(np.eye(b.shape[0]), b.T)
+
+
+def dissipator_superop(a: np.ndarray) -> np.ndarray:
+    """Matrix of rho -> D[a] rho acting on vec(rho)."""
+    ada = dagger(a) @ a
+    return np.kron(a, a.conj()) - 0.5 * (_left(ada) + _right(ada))
+
+
+def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
+    """Matrix of rho -> -i [h, rho] acting on vec(rho)."""
+    return -1j * (_left(h) - _right(h))
+
+
+def innovation_superop(a: np.ndarray) -> np.ndarray:
+    """Matrix of rho -> a rho + rho a^dag acting on vec(rho)."""
+    return _left(a) + _right(dagger(a))

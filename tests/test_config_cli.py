@@ -9,7 +9,8 @@ from entroflux import cli, ensemble, linalg
 from entroflux.cli import main
 from entroflux.config import ConfigError, load_config
 from entroflux.ensemble import run_ensemble, trajectory_seed
-from entroflux.integrate import TRAJECTORY_ROWS, simulate_trajectory
+from entroflux.entropy import BOUND_SIGN_TOL, build_bound_report, entropy_rate_bound
+from entroflux.integrate import TRAJECTORY_ROWS, IntegrationError, simulate_trajectory
 from entroflux.linalg import (
     ValidationError,
     random_density,
@@ -17,7 +18,14 @@ from entroflux.linalg import (
     random_operator,
     validate_density,
 )
-from entroflux.qubit import density_to_bloch
+from entroflux.qubit import (
+    QubitScenario,
+    bloch_to_density,
+    density_to_bloch,
+    qubit_model,
+    unconditional_bloch,
+    z_threshold,
+)
 
 
 _CHUNK_SUMS = ensemble._chunk_sums
@@ -119,6 +127,18 @@ class TestConfigParsing:
         }
         with pytest.raises(ConfigError, match="Hermitian"):
             load_config(write_config(tmp_path / "c.json", scenario=scenario))
+
+    def test_bloch_control_rejected_at_load_above_two_levels(self, tmp_path, capsys):
+        overrides = d4_explicit_overrides()
+        overrides["scenario"]["control"] = {"kind": "bloch_x_proportional", "gain": 5.0}
+        cfg = write_config(tmp_path / "c.json", **overrides)
+        with pytest.raises(ConfigError, match="requires a two-level system"):
+            load_config(cfg)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: bloch_x_proportional control requires a two-level system\n")
+        assert not out.exists()  # rejected before the run started
 
     def test_matrix_initial_state(self, tmp_path):
         path = write_config(tmp_path / "c.json",
@@ -297,11 +317,18 @@ def reference_header(dim, values):
     return ",".join(["t"] + state + values) + "\n"
 
 
+def fmt(x):
+    """One CSV cell as the writers formatted it before they took whole arrays."""
+    return format(float(x), ".17g")
+
+
+def flag(b):
+    return "1" if b else "0"
+
+
 def reference_row(t, rho, *values):
     """One CSV row formatted cell by cell, each state on its own, as the
     writer did before it formatted whole arrays."""
-    def fmt(x):
-        return format(float(x), ".17g")
     if rho.shape[0] == 2:
         r = validate_density(rho)
         state = [(r[0, 1] + r[1, 0]).real, (1j * (r[0, 1] - r[1, 0])).real,
@@ -329,15 +356,16 @@ class TestCsvFormatting:
         {"kind": "bloch_x_proportional", "gain": 5.0}, "explicit_d4"],
         ids=lambda c: c if isinstance(c, str) else c["kind"])
     def test_csvs_are_the_cell_by_cell_bytes(self, tmp_path, control):
-        # every trajectory CSV and ensemble.csv of a two-chunk run on two
-        # workers must be, byte for byte, the rows formatted state by state
+        # every trajectory CSV, ensemble.csv and bound_report.csv of a
+        # two-chunk run on two workers must be, byte for byte, the rows
+        # formatted state by state and cell by cell
         path = tmp_path / "c.json"
         if control == "explicit_d4":
             overrides = d4_explicit_overrides()
         else:
             overrides = {"scenario": {"kind": "qubit", "kappa": 1.0, "alpha": 6.0,
                                       "control": control}}
-        write_config(path, emit=["ensemble", "trajectories"], **overrides)
+        write_config(path, emit=["ensemble", "trajectories", "bound_report"], **overrides)
         raw = json.loads(path.read_text())
         raw["ensemble"]["n_trajectories"] = 300
         raw["ensemble"]["integrator"].update(t_final=0.05, record_stride=10)
@@ -363,12 +391,18 @@ class TestCsvFormatting:
             reference_row(t, stats.mean_state[k], stats.mean_entropy[k], stats.entropy_se[k],
                           stats.quantumness_mean[k])
             for k, t in enumerate(stats.times))
+        report = build_bound_report(cfg.model, stats)
+        want["bound_report.csv"] = "t,lhs_rate,lhs_se,rhs_bound,sufficient,violation\n" + "".join(
+            ",".join([fmt(report.times[k]), fmt(report.lhs_rate[k]), fmt(report.lhs_se[k]),
+                      fmt(report.rhs_bound[k]), flag(report.sufficient_flag[k]),
+                      flag(report.violation_flag[k])]) + "\n"
+            for k in range(len(report.times)))
         assert sorted(p.name for p in out.iterdir()) == sorted(want)
         for name, text in want.items():
             assert (out / name).read_bytes() == text.encode(), name
         if control == {"kind": "zero"}:
-            y_cells = [line.split(",")[2] for text in want.values()
-                       for line in text.splitlines()[1:]]
+            y_cells = [line.split(",")[2] for name, text in want.items()
+                       if name != "bound_report.csv" for line in text.splitlines()[1:]]
             assert len(y_cells) == 301 * 6 and "-0" not in y_cells
 
     @pytest.mark.parametrize("corrupt", ["trace", "hermiticity"])
@@ -388,9 +422,24 @@ class TestCsvFormatting:
         rows["states"][1, 2] = bad
         with pytest.raises(ValidationError) as want:
             validate_density(bad)
-        with pytest.raises(ValidationError) as got:
+        with pytest.raises(IntegrationError) as got:
             cli._write_trajectory_csvs(cfg, 256, times, rows)
         assert str(got.value) == f"trajectory 258 at t = 0.029999999999999999: {want.value}"
+
+    def test_invalid_state_from_a_run_exits_three(self, tmp_path, capsys, monkeypatch):
+        # a state the run produced is an integration failure, not a config error
+        def corrupt_chunk_sums(payload, keep_rows=False):
+            times, parts = _CHUNK_SUMS(payload, keep_rows=keep_rows)
+            parts[0]["rows"]["states"][1, 2] *= 1.1
+            return times, parts
+
+        monkeypatch.setattr(ensemble, "_chunk_sums", corrupt_chunk_sums)
+        cfg = write_config(tmp_path / "c.json", emit=["trajectories"])
+        assert main(["simulate", "--config", cfg, "--workers", "1",
+                     "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("integration error: trajectory 2 at t = 0.029999999999999999: "
+                              "density matrix trace")
 
     def test_states_are_not_converted_one_by_one(self, tmp_path, monkeypatch):
         # the number of per-state conversions and checks must not grow with
@@ -545,6 +594,23 @@ class TestSweepAlphaCommand:
         assert float(rows[0][1]) == 0.5
         assert float(rows[1][1]) == 1.0
         assert float(rows[2][1]) < 1e-4
+        # byte for byte the cells formatted one by one, as the writer did
+        # before it formatted rows of floats
+        loaded = load_config(cfg)
+        integ = loaded.ensemble.integrator
+        b0 = density_to_bloch(loaded.initial_state)
+        times = [k * integ.record_stride * integ.dt
+                 for k in range(integ.n_steps // integ.record_stride + 1)]
+        want = [lines[0]]
+        for alpha in loaded.alphas:
+            scenario = QubitScenario(kappa=loaded.scenario.kappa, alpha=alpha)
+            bounds = np.array([entropy_rate_bound(qubit_model(scenario), bloch_to_density(
+                unconditional_bloch(scenario, b0, t))) for t in times])
+            hits = np.flatnonzero(bounds >= -BOUND_SIGN_TOL)
+            first = float(times[hits[0]]) if hits.size else -1.0
+            want.append(",".join([fmt(alpha), fmt(z_threshold(alpha)), fmt(bounds.min()),
+                                  fmt(first)]))
+        assert (out / "sweep.csv").read_bytes() == "".join(f"{line}\n" for line in want).encode()
 
     @pytest.mark.parametrize("control", [
         {"kind": "constant", "value": 3.0},

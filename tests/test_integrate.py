@@ -3,8 +3,8 @@ import copy
 import numpy as np
 import pytest
 
-from entroflux import integrate
-from entroflux.ensemble import trajectory_seed
+from entroflux import integrate, model
+from entroflux.ensemble import EnsembleConfig, run_ensemble, trajectory_seed
 from entroflux.integrate import (
     TRAJECTORY_ROWS,
     IntegrationError,
@@ -13,9 +13,7 @@ from entroflux.integrate import (
     _project_batch,
     _run_em_batch,
     _stack_rows,
-    dissipator_superop,
     em_step,
-    hamiltonian_superop,
     integrate_master_equation,
     project_to_physical,
     simulate_trajectory,
@@ -28,7 +26,14 @@ from entroflux.linalg import (
     random_operator,
     validate_density,
 )
-from entroflux.model import ControlLaw, ModelSpec, dissipator, sme_increment
+from entroflux.model import (
+    ControlLaw,
+    ModelSpec,
+    dissipator,
+    dissipator_superop,
+    hamiltonian_superop,
+    sme_increment,
+)
 from entroflux.qubit import (
     SIGMA_MINUS,
     SIGMA_Y,
@@ -108,6 +113,22 @@ class TestSuperoperators:
             via_superop = (hamiltonian_superop(h) @ rho.reshape(-1)).reshape(d, d)
             np.testing.assert_allclose(via_superop, -1j * (h @ rho - rho @ h), atol=1e-12)
 
+    def test_operators_are_built_once_per_model(self, monkeypatch):
+        # the EM kernels and the RK4 oracle share the model's D[L] + D[M]
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return dissipator_superop(a)
+
+        monkeypatch.setattr(model, "dissipator_superop", counted)
+        spec = d4_spec()
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.01, record_stride=5)
+        integrate._EulerMaruyamaKernel(spec, cfg)
+        integrate._EulerMaruyamaKernel(spec, cfg)
+        integrate_master_equation(spec, random_density(4, seed=1), cfg, u_fixed=0.5)
+        assert len(calls) == 2
+
 
 class TestProjectToPhysical:
     def test_valid_state_unchanged(self):
@@ -166,6 +187,17 @@ class TestProjectToPhysical:
         with pytest.raises(IntegrationError, match="lost all positive mass") as err:
             _project_batch(lost, dim, 1.0)
         assert err.value.trajectory == 2
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("entry", [(0, complex(0.5, np.inf)), (1, complex(np.nan, 0.0))],
+                             ids=["inf_imaginary_diagonal", "nan_off_diagonal"])
+    def test_non_finite_input_is_rejected(self, dim, entry):
+        # the 2x2 branch reads only the real diagonal, so an infinite
+        # imaginary part there used to come back as a state with mass 0 clipped
+        m = (np.eye(dim) / dim).astype(complex)
+        m.flat[entry[0]] = entry[1]
+        with pytest.raises(ValidationError, match="non-finite"):
+            project_to_physical(m)
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("entry", ["diagonal", "off_diagonal"])
@@ -410,6 +442,28 @@ def reference_project_2x2(v, tol):
     return out, magnitude
 
 
+def reference_project_general(v, dim, tol):
+    """The d > 2 repair as first written: one row at a time past the spectrum."""
+    mats = v.reshape(-1, dim, dim)
+    mats = np.where(np.isfinite(mats).all(axis=(1, 2))[:, None, None], mats, 0.0)
+    mats = 0.5 * (mats + np.transpose(mats.conj(), (0, 2, 1)))
+    w = np.linalg.eigvalsh(mats)
+    magnitude = np.where(w < 0.0, -w, 0.0).sum(axis=1)
+    integrate._raise_first_failure(~(w[:, -1] > 0.0), magnitude, tol)
+    out = np.empty_like(mats)
+    needs_clip = w[:, 0] < 0.0
+    for i in range(mats.shape[0]):
+        m = mats[i]
+        if needs_clip[i]:
+            wi, ui = np.linalg.eigh(m)
+            m = (ui * np.maximum(wi, 0.0)) @ ui.conj().T
+        tr = m.trace().real
+        if tr <= 0.0:
+            raise IntegrationError("state lost all positive mass during a step", trajectory=i)
+        out[i] = m / tr
+    return out.reshape(v.shape), magnitude
+
+
 def reference_step(kernel, v, dw):
     """The EM step as first written, with a fresh array for every term."""
     tr_meas = kernel.measured_mean(v)
@@ -475,6 +529,71 @@ class TestQubitStepMatchesReference:
         assert got.value.magnitude == want.value.magnitude
 
 
+def clipping_rows(dim, rows, rng):
+    """Near-states with one eigenvalue about -0.01 and a non-Hermitian part."""
+    g = rng.normal(size=(rows, dim, dim)) + 1j * rng.normal(size=(rows, dim, dim))
+    rho = g @ np.transpose(g.conj(), (0, 2, 1))
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    w, u = np.linalg.eigh(rho)
+    low = u[:, :, :1]
+    rho -= (w[:, :1, None] + 0.01) * (low @ np.transpose(low.conj(), (0, 2, 1)))
+    noise = rng.normal(size=rho.shape) + 1j * rng.normal(size=rho.shape)
+    return (rho + 1e-3 * noise).reshape(rows, -1)
+
+
+class TestGeneralRepairMatchesReference:
+    # the general-d repair clips all rows that need it in one batched eigh,
+    # which must give every bit of the row-by-row loop
+
+    @pytest.mark.parametrize("dim", [3, 4, 8])
+    @pytest.mark.parametrize("clipping", [2, 257, 1000])
+    def test_states_and_clipped_mass_bit_for_bit(self, dim, clipping):
+        rng = np.random.default_rng(dim * clipping)
+        v = np.empty((2 * clipping, dim * dim), dtype=complex)
+        v[0::2] = [random_density(dim, min_eig=0.01, seed=s).reshape(-1)
+                   for s in range(clipping)]
+        v[1::2] = clipping_rows(dim, clipping, rng)
+        want, want_mags = reference_project_general(v.copy(), dim, 0.1)
+        got, mags = _project_batch(v.copy(), dim, 0.1)
+        assert np.count_nonzero(mags) == clipping
+        assert same_bits(got, want)
+        assert same_bits(mags, want_mags)
+
+    @pytest.mark.parametrize("dim", [3, 4, 8])
+    @pytest.mark.parametrize("kind", ["lost", "over"])
+    def test_failures_name_the_same_row(self, dim, kind):
+        v = clipping_rows(dim, 9, np.random.default_rng(dim))
+        v[6] = {"lost": -random_density(dim, min_eig=0.01, seed=0),
+                "over": np.diag([1.3] + [0.0] * (dim - 2) + [-0.3])}[kind].reshape(-1)
+        with pytest.raises(IntegrationError, match={"lost": "lost all positive mass",
+                                                    "over": "exceeds tolerance"}[kind]) as want:
+            reference_project_general(v.copy(), dim, 0.1)
+        with pytest.raises(IntegrationError) as got:
+            _project_batch(v.copy(), dim, 0.1)
+        assert str(got.value) == str(want.value)
+        assert got.value.trajectory == want.value.trajectory == 6
+        assert got.value.magnitude == want.value.magnitude
+
+    def test_nonpositive_trace_names_the_same_row(self):
+        # -(q diag(0.01, 0.02, 0) q^dag) has a zero eigenvalue that round-off
+        # puts on either side of 0; where the batched eigvalsh sees it
+        # positive, the row passes the first check, and where eigh then sees
+        # it nonpositive, clipping leaves no trace at all
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.normal(size=(200, 3, 3)) + 1j * rng.normal(size=(200, 3, 3)))
+        m = -(q * np.array([0.01, 0.02, 0.0])) @ np.transpose(q.conj(), (0, 2, 1))
+        sym = 0.5 * (m + np.transpose(m.conj(), (0, 2, 1)))
+        m = m[np.linalg.eigvalsh(sym)[:, -1] > 0.0]
+        valid = [random_density(3, min_eig=0.01, seed=s).reshape(-1) for s in range(3)]
+        v = np.concatenate([valid, m.reshape(len(m), -1)])
+        with pytest.raises(IntegrationError) as want:
+            reference_project_general(v.copy(), 3, 0.1)
+        with pytest.raises(IntegrationError) as got:
+            _project_batch(v.copy(), 3, 0.1)
+        assert str(got.value) == str(want.value) == "state lost all positive mass during a step"
+        assert got.value.trajectory == want.value.trajectory >= 3
+
+
 class TestIntegrateMasterEquation:
     def test_dephasing_oracle(self):
         spec = qubit_spec(kappa=1.0)
@@ -518,6 +637,20 @@ class TestIntegrateMasterEquation:
         cfg = IntegratorConfig(dt=1e-3, t_final=0.5, record_stride=10)
         with pytest.raises(IntegrationError, match="step size|invalid"):
             integrate_master_equation(spec, KET0, cfg)
+
+
+@pytest.mark.parametrize("entry", ["run_ensemble", "simulate_trajectory",
+                                   "integrate_master_equation"])
+def test_initial_state_must_match_the_model(entry):
+    spec = qubit_spec()
+    cfg = IntegratorConfig(dt=1e-3, t_final=0.01)
+    run = {"run_ensemble": lambda rho: run_ensemble(spec, rho, EnsembleConfig(
+               n_trajectories=3, integrator=cfg)),
+           "simulate_trajectory": lambda rho: simulate_trajectory(spec, rho, cfg, seed=0),
+           "integrate_master_equation": lambda rho: integrate_master_equation(spec, rho, cfg)}
+    with pytest.raises(ValidationError) as err:
+        run[entry](np.eye(4) / 4)
+    assert str(err.value) == "initial state dimension 4 does not match model dim 2"
 
 
 class TestIntegratorConfig:

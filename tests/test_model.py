@@ -85,6 +85,12 @@ class TestControl:
         with pytest.raises(ValidationError, match="two-level"):
             evaluate_control(law, np.eye(3) / 3)
 
+    def test_model_with_bloch_law_requires_qubit(self):
+        law = ControlLaw(kind="bloch_x_proportional", gain=1.0)
+        with pytest.raises(ValidationError, match="two-level"):
+            ModelSpec(dim=3, hamiltonian=np.eye(3), probe=np.eye(3),
+                      decoherence=np.zeros((3, 3)), control=law)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError, match="unknown control law"):
             ControlLaw(kind="bang_bang")
