@@ -45,9 +45,6 @@ EXIT_VIOLATION = 4
 EXIT_SELFTEST = 5
 
 WORKERS_ENV = "ENTROFLUX_WORKERS"
-# Internal hook: when set, the selftest validation suite is fed a state
-# scaled to trace 1.1 and must fail.
-SELFTEST_CORRUPT_ENV = "_ENTROFLUX_SELFTEST_CORRUPT"
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -223,11 +220,7 @@ def cmd_sweep_alpha(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    hook = None
-    if os.environ.get(SELFTEST_CORRUPT_ENV):
-        hook = lambda rho: rho * 1.1  # noqa: E731
-    ok = run_selftest(state_hook=hook)
-    return EXIT_OK if ok else EXIT_SELFTEST
+    return EXIT_OK if run_selftest() else EXIT_SELFTEST
 
 
 def build_parser() -> argparse.ArgumentParser:

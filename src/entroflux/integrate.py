@@ -9,7 +9,7 @@ Internally both integrators act on row-major vectorized states, so one
 time step is a handful of precomputed superoperator matvecs.  A batch of
 trajectories is stepped as the rows of a (batch, d*d) array, each row
 drawing its noise from its own generator; a single trajectory is a
-batch of one, stepped as two identical rows.
+batch of one, which the step kernel multiplies as two identical rows.
 """
 
 from __future__ import annotations
@@ -227,11 +227,19 @@ def project_to_physical(m, tol: float = np.inf) -> tuple[np.ndarray, float]:
 
 # --- Euler-Maruyama kernel -------------------------------------------------
 
+def _as_batch(v: np.ndarray) -> np.ndarray:
+    """A lone row as two identical rows; any other batch as it is."""
+    return np.concatenate((v, v)) if len(v) == 1 else v
+
+
 class _EulerMaruyamaKernel:
     """Precomputed one-step map for a model and step size.
 
     Constant control inputs are folded into the drift superoperator at
-    build time; the state-proportional law is evaluated per step.
+    build time; the state-proportional law is evaluated per step.  A
+    lone row is multiplied as two identical rows: numpy sends a single
+    row through another BLAS path than a batch, which for d > 2 changes
+    the last bits.
     """
 
     def __init__(self, model: ModelSpec, cfg: IntegratorConfig):
@@ -250,16 +258,16 @@ class _EulerMaruyamaKernel:
 
     def measured_mean(self, v: np.ndarray) -> np.ndarray:
         """Tr[(L + L^dag) rho] per row."""
-        return (v @ self.k_meas).real
+        return (_as_batch(v) @ self.k_meas).real[:len(v)]
 
     def step(self, v: np.ndarray, dw: np.ndarray,
-             tr_meas: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+             tr_meas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Advance a (batch, d*d) state array by one repaired EM step.
 
-        ``tr_meas`` is ``measured_mean(v)``, if the caller has it already.
+        ``tr_meas`` is ``measured_mean(v)``, which the caller needs too.
         """
-        if tr_meas is None:
-            tr_meas = self.measured_mean(v)
+        rows = len(v)
+        v = _as_batch(v)
         drift = v @ self.drift_t
         if self.bloch_gain is not None:
             u = -self.bloch_gain * (v[:, 1] + v[:, 2]).real
@@ -271,7 +279,8 @@ class _EulerMaruyamaKernel:
         drift += v
         innov *= dw[:, None]
         drift += innov
-        return _project_batch(drift, self.dim, self.tol)
+        out, magnitude = _project_batch(drift, self.dim, self.tol)
+        return out[:rows], magnitude[:rows]
 
 
 def em_step(
@@ -332,33 +341,28 @@ def _run_em_batch(
     at a time, so the batch never holds more than ``NOISE_BUDGET_BYTES``
     of noise however long the horizon.  At each checkpoint ``record(rows)``
     gets a dict mapping each name in ``TRAJECTORY_ROWS`` to that
-    checkpoint's per-row array.  A lone row is stepped as two identical
-    rows: numpy multiplies a single row through another BLAS path than a
-    batch, which for d > 2 changes the last bits.
+    checkpoint's per-row array.
     """
     kernel = _EulerMaruyamaKernel(model, cfg)
     rows = len(rngs)
-    batch = max(rows, 2)
     n_steps = cfg.n_steps
     stride = cfg.record_stride
-    block = max(1, NOISE_BUDGET_BYTES // (8 * batch))
-    dim = model.dim
+    block = max(1, NOISE_BUDGET_BYTES // (8 * rows))
 
-    v = np.tile(rho0.reshape(-1), (batch, 1))
-    noise = np.empty((min(block, n_steps), batch))
+    v = np.tile(rho0.reshape(-1), (rows, 1))
+    noise = np.empty((min(block, n_steps), rows))
     times = []
 
     def checkpoint(step: int):
         times.append(step * cfg.dt)
-        states = v[:rows].reshape(rows, dim, dim)
+        states = v.reshape(rows, *rho0.shape)
         # the accumulators are updated in place, so a record keeps copies
         record({"states": states, "entropies": entropy_of_states(states),
-                "dw_sums": dw_acc[:rows].copy(), "rep_sums": rep_acc[:rows].copy(),
-                "y_path": y_acc[:rows].copy()})
+                "dw_sums": dw_acc.copy(), "rep_sums": rep_acc.copy(), "y_path": y_acc.copy()})
 
-    dw_acc = np.zeros(batch)
-    rep_acc = np.zeros(batch)
-    y_acc = np.zeros(batch)
+    dw_acc = np.zeros(rows)
+    rep_acc = np.zeros(rows)
+    y_acc = np.zeros(rows)
     checkpoint(0)
     for step in range(1, n_steps + 1):
         j = (step - 1) % block
@@ -366,7 +370,6 @@ def _run_em_batch(
             size = min(block, n_steps + 1 - step)
             for b, rng in enumerate(rngs):
                 noise[:size, b] = wiener_increment(rng, cfg.dt, size=size)
-            noise[:size, rows:] = noise[:size, :1]  # the lone row's twin, if any
         dw = noise[j]
         tr_meas = kernel.measured_mean(v)
         y_acc += tr_meas * cfg.dt

@@ -27,7 +27,7 @@ EIG_FLOOR = 1e-12
 class ValidationError(ValueError):
     """An operator or state failed a structural precondition."""
 
-    index = None  # the failing state's position in a stack, from validate_densities
+    index = None  # the failing state's position in the checked stack
 
 
 def as_operator(m, name: str = "operator") -> np.ndarray:
@@ -54,6 +54,36 @@ def check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
+def _check_densities(flat: np.ndarray, herm_tol: float = HERMITICITY_TOL,
+                     eig_tol: float = EIGENVALUE_TOL, trace_tol: float = TRACE_TOL) -> None:
+    """Check an (n, d, d) complex128 stack of states as whole arrays.
+
+    The first state that is not finite, Hermitian, of unit trace and with
+    eigenvalues >= -``eig_tol`` raises ValidationError naming the first
+    of those it violates, with its position as ``index``.
+    """
+    finite = np.isfinite(flat).all(axis=(1, 2))
+    m = np.where(finite[:, None, None], flat, 0.0)  # keeps NaN out of the eigensolver
+    adj = np.conj(np.swapaxes(m, 1, 2))
+    asym = np.abs(m - adj).max(axis=(1, 2))
+    tr = np.trace(m, axis1=1, axis2=2)
+    lam = np.linalg.eigvalsh((m + adj) / 2.0)[:, 0]
+    bad = ~finite | (asym > herm_tol) | (np.abs(tr - 1.0) > trace_tol) | (lam < -eig_tol)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not finite[i]:
+            text = "density matrix contains non-finite entries"
+        elif asym[i] > herm_tol:
+            text = f"density matrix is not Hermitian: max asymmetry {asym[i]:.3e} > {herm_tol:.1e}"
+        elif abs(tr[i] - 1.0) > trace_tol:
+            text = f"density matrix trace {tr[i]:.17g} is not 1 within {trace_tol:.1e}"
+        else:
+            text = f"density matrix has negative eigenvalue {lam[i]:.3e} below -{eig_tol:.1e}"
+        err = ValidationError(text)
+        err.index = i
+        raise err
+
+
 def validate_density(
     rho,
     herm_tol: float = HERMITICITY_TOL,
@@ -62,24 +92,12 @@ def validate_density(
 ) -> np.ndarray:
     """Validate a density matrix and return it as a complex128 array.
 
-    Checks Hermiticity within ``herm_tol``, eigenvalues >= -``eig_tol``
-    and unit trace within ``trace_tol``; raises ValidationError naming
-    the violated invariant otherwise.
+    Checks Hermiticity within ``herm_tol``, unit trace within
+    ``trace_tol`` and eigenvalues >= -``eig_tol``; raises ValidationError
+    naming the violated invariant otherwise.
     """
     a = as_operator(rho, "density matrix")
-    defect = hermiticity_defect(a)
-    if defect > herm_tol:
-        raise ValidationError(
-            f"density matrix is not Hermitian: max asymmetry {defect:.3e} > {herm_tol:.1e}"
-        )
-    tr = a.trace()
-    if abs(tr - 1.0) > trace_tol:
-        raise ValidationError(f"density matrix trace {tr:.17g} is not 1 within {trace_tol:.1e}")
-    w = np.linalg.eigvalsh((a + dagger(a)) / 2.0)
-    if w[0] < -eig_tol:
-        raise ValidationError(
-            f"density matrix has negative eigenvalue {w[0]:.3e} below -{eig_tol:.1e}"
-        )
+    _check_densities(a[None], herm_tol, eig_tol, trace_tol)
     return a
 
 
@@ -90,19 +108,11 @@ def validate_densities(states) -> None:
     ``validate_density`` gives it, with its position in the stack as ``index``.
     """
     a = np.asarray(states, dtype=np.complex128)
-    flat = a.reshape(-1, *a.shape[-2:])
-    finite = np.isfinite(flat).all(axis=(1, 2))
-    m = np.where(finite[:, None, None], flat, 0.0)  # keeps NaN out of the eigensolver
-    adj = np.conj(np.swapaxes(m, 1, 2))
-    ok = finite & (np.abs(m - adj).max(axis=(1, 2)) <= HERMITICITY_TOL)
-    ok &= np.abs(np.trace(m, axis1=1, axis2=2) - 1.0) <= TRACE_TOL
-    ok &= np.linalg.eigvalsh((m + adj) / 2.0)[:, 0] >= -EIGENVALUE_TOL
-    for i in np.flatnonzero(~ok):
-        try:
-            validate_density(flat[i])
-        except ValidationError as err:
-            err.index = tuple(int(k) for k in np.unravel_index(i, a.shape[:-2]))
-            raise
+    try:
+        _check_densities(a.reshape(-1, *a.shape[-2:]))
+    except ValidationError as err:
+        err.index = tuple(int(k) for k in np.unravel_index(err.index, a.shape[:-2]))
+        raise
 
 
 @dataclass(frozen=True)

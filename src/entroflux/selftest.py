@@ -21,13 +21,11 @@ def _ok() -> tuple[bool, str]:
     return True, ""
 
 
-def suite_density_validation(state_hook: Callable | None = None) -> tuple[bool, str]:
+def suite_density_validation() -> tuple[bool, str]:
     """Generated states satisfy the density-matrix invariants."""
     for dim in (2, 3, 4):
         for seed in range(100):
             rho = linalg.random_density(dim, min_eig=0.0, seed=1000 * dim + seed)
-            if state_hook is not None:
-                rho = state_hook(rho)
             try:
                 linalg.validate_density(rho)
             except linalg.ValidationError as err:
@@ -37,7 +35,7 @@ def suite_density_validation(state_hook: Callable | None = None) -> tuple[bool, 
     return _ok()
 
 
-def suite_spectral_kernels(**_) -> tuple[bool, str]:
+def suite_spectral_kernels() -> tuple[bool, str]:
     """Eigendecomposition reconstructs, is unitary, and log commutes."""
     rng = np.random.default_rng(7)
     for dim in (2, 3, 4, 8):
@@ -59,7 +57,7 @@ def suite_spectral_kernels(**_) -> tuple[bool, str]:
     return _ok()
 
 
-def suite_superoperator_contracts(**_) -> tuple[bool, str]:
+def suite_superoperator_contracts() -> tuple[bool, str]:
     """Dissipator/innovation are traceless and Hermiticity-preserving;
     the master-equation generator is linear for fixed control."""
     rng = np.random.default_rng(11)
@@ -88,7 +86,7 @@ def suite_superoperator_contracts(**_) -> tuple[bool, str]:
     return _ok()
 
 
-def suite_log_inequality(**_) -> tuple[bool, str]:
+def suite_log_inequality() -> tuple[bool, str]:
     """-ln(rho) dominates I - rho on random full-rank states."""
     for dim in (2, 3, 4):
         for seed in range(1000):
@@ -99,7 +97,7 @@ def suite_log_inequality(**_) -> tuple[bool, str]:
     return _ok()
 
 
-def suite_dissipator_bound(**_) -> tuple[bool, str]:
+def suite_dissipator_bound() -> tuple[bool, str]:
     """Dissipator entropy production dominates its commutator bound, and
     the quantumness of any Hermitian operator vanishes."""
     rng = np.random.default_rng(23)
@@ -120,7 +118,7 @@ def suite_dissipator_bound(**_) -> tuple[bool, str]:
     return _ok()
 
 
-def suite_ito_correction(**_) -> tuple[bool, str]:
+def suite_ito_correction() -> tuple[bool, str]:
     """The quadratic entropy correction dominates four times the probe
     variance, with equality whenever the probe commutes with the state."""
     rng = np.random.default_rng(31)
@@ -145,7 +143,7 @@ def suite_ito_correction(**_) -> tuple[bool, str]:
     return _ok()
 
 
-def suite_master_equation_oracles(**_) -> tuple[bool, str]:
+def suite_master_equation_oracles() -> tuple[bool, str]:
     """RK4 master-equation integration matches the closed-form dephasing
     and decay solutions."""
     cfg = integrate.IntegratorConfig(dt=1e-3, t_final=3.0, record_stride=300)
@@ -169,7 +167,7 @@ def suite_master_equation_oracles(**_) -> tuple[bool, str]:
     return _ok()
 
 
-def suite_threshold_algebra(**_) -> tuple[bool, str]:
+def suite_threshold_algebra() -> tuple[bool, str]:
     """The closed-form threshold solves its quadratic and matches the
     sufficient condition on a z grid."""
     for alpha in np.logspace(-3, 6, 40):
@@ -207,16 +205,11 @@ SUITES = (
 )
 
 
-def run_selftest(state_hook: Callable | None = None, log: Callable = print) -> bool:
-    """Run every suite, printing one PASS/FAIL line each.
-
-    ``state_hook``, if given, post-processes generated states in the
-    validation suite (test instrumentation).  Returns True iff all
-    suites pass.
-    """
+def run_selftest(log: Callable = print) -> bool:
+    """Run every suite, printing one PASS/FAIL line each; True iff all pass."""
     all_ok = True
     for name, suite in SUITES:
-        ok, detail = suite(state_hook=state_hook)
+        ok, detail = suite()
         log(f"{'PASS' if ok else 'FAIL'} {name}")
         if not ok:
             log(f"  counterexample: {detail}")

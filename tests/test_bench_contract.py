@@ -1,4 +1,5 @@
-"""The call boundaries that ``bench/tracer.py`` wraps must stay in place.
+"""The call boundaries that ``bench/tracer.py`` wraps must stay in place,
+and the outputs that ``bench/reference.json`` pins must keep their bytes.
 
 A traced benchmark run reports a per-layer metric as null when its
 boundary is missing, and loses every metric when a wrapped call no
@@ -10,6 +11,7 @@ import importlib.util
 import json
 import os
 
+import numpy as np
 import pytest
 
 from entroflux import cli, ensemble, integrate
@@ -80,3 +82,33 @@ def test_traced_simulate_reports_every_layer_metric(tracer, tmp_path, monkeypatc
     # 50 steps of one 3-row batch, each row repaired once per step
     assert values["integrate.step_calls"] == 50
     assert values["integrate.repair_rows"] == values["integrate.traj_steps"] == 150
+
+
+def _blas() -> str | None:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy without build information as dicts
+        return None
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
+# The numpy and BLAS build bench/reference.json was recorded on; another
+# build may round the same operations differently.
+PINNED_BUILD = ("2.4.6", "scipy-openblas 0.3.31.188.0")
+
+
+@pytest.mark.skipif((np.__version__, _blas()) != PINNED_BUILD,
+                    reason="bench/reference.json pins the bytes of numpy 2.4.6 on "
+                           "scipy-openblas 0.3.31.188.0")
+@pytest.mark.parametrize("name", ["qubit_trajectory_csv", "explicit_d4"])
+def test_outputs_match_the_pinned_reference(bench, name, tmp_path):
+    # the qubit workload takes the closed-form 2x2 repair, the d=4 one the
+    # general eigenvalue repair
+    with open(os.path.join(os.path.dirname(TRACER), "reference.json"), encoding="utf-8") as fh:
+        want = json.load(fh)[name]["0"]
+    w = bench.workloads.WORKLOADS[name]
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(w.config(0)))
+    out = tmp_path / "out"
+    assert cli.main(w.cli_args(str(config), 0, str(out), workers=1)) == 0
+    assert bench.outputs.digest_outputs(str(out)) == want

@@ -635,8 +635,7 @@ class TestSelftestCommand:
     def test_passes_clean(self):
         assert main(["selftest"]) == 0
 
-    def test_corrupt_hook_fails(self, monkeypatch, capsys):
-        monkeypatch.setenv("_ENTROFLUX_SELFTEST_CORRUPT", "1")
+    def test_corrupt_hook_fails(self, corrupt_validation_states, capsys):
         assert main(["selftest"]) == 5
         out = capsys.readouterr().out
         assert "FAIL density-validation" in out

@@ -1,9 +1,11 @@
 import copy
+import json
 
 import numpy as np
 import pytest
 
 from entroflux import integrate, model
+from entroflux.config import load_config
 from entroflux.ensemble import EnsembleConfig, run_ensemble, trajectory_seed
 from entroflux.integrate import (
     TRAJECTORY_ROWS,
@@ -45,6 +47,14 @@ from entroflux.qubit import (
 )
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
+
+
+def bench_workload_run(bench, name, tmp_path):
+    """The model and initial state of a workload of ``bench/workloads.py``."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(bench.workloads.WORKLOADS[name].config(0)))
+    cfg = load_config(str(path))
+    return cfg.model, cfg.initial_state
 
 
 def d4_spec():
@@ -255,6 +265,21 @@ class TestEmStep:
             stepped = em_step(spec, TrajectoryState(t=0, rho=rho), cfg, dW=dw)
             direct, _ = project_to_physical(rho + sme_increment(spec, rho, cfg.dt, dw))
             np.testing.assert_allclose(stepped.rho, direct, atol=1e-13)
+
+    @pytest.mark.parametrize("workload", ["qubit_readme", "explicit_d4"])
+    def test_chain_of_steps_is_the_simulated_trajectory(self, workload, bench, tmp_path):
+        # a lone row is stepped as in any batch, so for d > 2 too a chain of
+        # em_step calls drawing from one generator is that seed's trajectory
+        spec, rho0 = bench_workload_run(bench, workload, tmp_path)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.12, record_stride=1)
+        for seed in range(5):
+            rec = simulate_trajectory(spec, rho0, cfg, seed)
+            rng = np.random.default_rng(seed)
+            state = TrajectoryState(t=0.0, rho=rho0)
+            for k in range(1, cfg.n_steps + 1):
+                state = em_step(spec, state, cfg, rng)
+                assert same_bits(state.rho, rec.states[k]), (seed, k)
+                assert same_bits(np.array([state.y]), rec.measurement_record[k:k + 1]), (seed, k)
 
     def test_repair_tolerance_error_carries_magnitude(self):
         spec = qubit_spec(kappa=1.0)
@@ -503,7 +528,7 @@ class TestQubitStepMatchesReference:
         clipped = 0
         for dw in noise:
             want, want_mags = reference_step(kernel, v, dw)
-            v, mags = kernel.step(v, dw)
+            v, mags = kernel.step(v, dw, kernel.measured_mean(v))
             assert same_bits(v, want)
             assert same_bits(mags, want_mags)
             clipped += int(np.count_nonzero(mags))

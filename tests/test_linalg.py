@@ -215,6 +215,55 @@ class TestValidateDensities:
                 validate_densities(rho[None])
 
 
+
+# States that break more than one invariant, with the message that names
+# the first of non-finite, Hermiticity, trace and eigenvalue they break.
+FIRST_FAILURE = {
+    "hermiticity_and_trace": ([[0.7, 0.3], [0.0, 0.7]],
+                              "density matrix is not Hermitian: max asymmetry 3.000e-01 > 1.0e-10"),
+    "trace_and_eigenvalue": ([[1.5, 0.0], [0.0, -0.25]],
+                             "density matrix trace 1.25+0j is not 1 within 1.0e-10"),
+    "nan": ([[0.5, np.nan], [np.nan, 0.5]], "density matrix contains non-finite entries"),
+}
+
+
+class TestDensityChecker:
+    @pytest.mark.parametrize("case", sorted(FIRST_FAILURE))
+    def test_validate_density_names_the_first_failure(self, case):
+        state, text = FIRST_FAILURE[case]
+        with pytest.raises(ValidationError) as err:
+            validate_density(np.array(state))
+        assert str(err.value) == text
+
+    @pytest.mark.parametrize("case", sorted(FIRST_FAILURE))
+    def test_validate_densities_names_the_first_failure_and_its_index(self, case):
+        state, text = FIRST_FAILURE[case]
+        states = np.array([random_density(2, seed=s) for s in range(12)]).reshape(3, 4, 2, 2)
+        states[1, 2] = state
+        states[2, 0] = np.diag([0.7, 0.7])  # a later trace failure in C order
+        with pytest.raises(ValidationError) as err:
+            validate_densities(states)
+        assert str(err.value) == text
+        assert err.value.index == (1, 2)
+
+    @pytest.mark.parametrize("state, tolerance, loose, text", [
+        ([[0.5, 1e-6], [0.0, 0.5]], "herm_tol",
+         1e-5, "density matrix is not Hermitian: max asymmetry 1.000e-06 > 1.0e-07"),
+        ([[0.5, 0.0], [0.0, 0.5 + 1e-6]], "trace_tol",
+         1e-5, "density matrix trace 1.0000010000000001+0j is not 1 within 1.0e-07"),
+        ([[1.0 + 1e-6, 0.0], [0.0, -1e-6]], "eig_tol",
+         1e-5, "density matrix has negative eigenvalue -1.000e-06 below -1.0e-07"),
+    ])
+    def test_validate_density_honours_its_tolerances(self, state, tolerance, loose, text):
+        rho = np.array(state)
+        with pytest.raises(ValidationError):
+            validate_density(rho)
+        got = validate_density(rho, **{tolerance: loose})
+        assert got.dtype == np.complex128 and np.array_equal(got, rho)
+        with pytest.raises(ValidationError) as err:
+            validate_density(rho, **{tolerance: 1e-7})
+        assert str(err.value) == text
+
 def test_trace_distance_orthogonal_pure_states():
     assert trace_distance(KET0, KET1) == pytest.approx(1.0)
     assert trace_distance(KET0, KET0) == pytest.approx(0.0, abs=1e-15)

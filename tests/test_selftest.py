@@ -8,16 +8,16 @@ def test_all_suites_pass():
     assert all(line.startswith("PASS") for line in lines)
 
 
-def test_corrupted_state_fails_validation_suite():
+def test_corrupted_state_fails_validation_suite(corrupt_validation_states):
     lines = []
-    ok = run_selftest(state_hook=lambda rho: rho * 1.1, log=lines.append)
+    ok = run_selftest(log=lines.append)
     assert not ok
     assert any(line.startswith("FAIL density-validation") for line in lines)
     assert any("counterexample" in line for line in lines)
 
 
-def test_hook_only_touches_validation_suite():
+def test_hook_only_touches_validation_suite(corrupt_validation_states):
     lines = []
-    run_selftest(state_hook=lambda rho: rho * 1.1, log=lines.append)
+    run_selftest(log=lines.append)
     failing = [line for line in lines if line.startswith("FAIL")]
     assert failing == ["FAIL density-validation"]
