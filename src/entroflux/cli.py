@@ -23,10 +23,15 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
 from .ensemble import TRAJECTORY_ROWS, WorkerError, run_ensemble
-from .entropy import BOUND_SIGN_TOL, build_bound_report, entropy_rate_bound
+from .entropy import (
+    BOUND_SIGN_TOL,
+    build_bound_report,
+    check_bound_checkpoints,
+    entropy_rate_bound,
+)
 from .integrate import IntegrationError
 from .integrate import simulate_trajectory  # noqa: F401  bench/tracer.py counts calls made here
-from .linalg import ValidationError, validate_densities
+from .linalg import ValidationError, require_hermitian, validate_densities
 from .qubit import (
     QubitScenario,
     bloch_components,
@@ -100,8 +105,6 @@ def _load(args) -> RunConfig:
     if args.seed is not None:
         ensemble = replace(ensemble, master_seed=args.seed)
     if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
         ensemble = replace(ensemble, worker_count=args.workers)
     out = args.out if args.out is not None else cfg.output_path
     return replace(cfg, ensemble=ensemble, output_path=out)
@@ -142,8 +145,19 @@ def _write_bound_csv(cfg: RunConfig, report) -> str:
     return path
 
 
+def _check_bound_inputs(cfg: RunConfig) -> None:
+    """Reject a run whose bound report would fail, before it simulates anything."""
+    require_hermitian(
+        cfg.model.probe, "the rate bound requires a Hermitian probe (max asymmetry {:.3e}): "
+        "it is only valid for self-adjoint measured couplings"
+    )
+    check_bound_checkpoints(len(cfg.ensemble.integrator.checkpoint_times))
+
+
 def cmd_simulate(args) -> int:
     cfg = _load(args)
+    if "bound_report" in cfg.emit:
+        _check_bound_inputs(cfg)
     _ensure_outdir(cfg.output_path)
     sink = partial(_write_trajectory_csvs, cfg) if "trajectories" in cfg.emit else None
     stats = run_ensemble(cfg.model, cfg.initial_state, cfg.ensemble, trajectory_sink=sink)
@@ -157,11 +171,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify_bound(args) -> int:
     cfg = _load(args)
-    if not cfg.model.probe_is_hermitian():
-        raise ConfigError(
-            "verify-bound requires a Hermitian probe: the rate bound is only "
-            "valid for self-adjoint measured couplings"
-        )
+    _check_bound_inputs(cfg)
     _ensure_outdir(cfg.output_path)
     stats = run_ensemble(cfg.model, cfg.initial_state, cfg.ensemble)
     report = build_bound_report(cfg.model, stats)
@@ -187,12 +197,8 @@ def cmd_sweep_alpha(args) -> int:
             f"only; scenario.control has kind {cfg.scenario.control.kind!r}"
         )
     _ensure_outdir(cfg.output_path)
-    integ = cfg.ensemble.integrator
     b0 = density_to_bloch(cfg.initial_state)
-    times = [
-        k * integ.record_stride * integ.dt
-        for k in range(integ.n_steps // integ.record_stride + 1)
-    ]
+    times = cfg.ensemble.integrator.checkpoint_times.tolist()
     rows = []
     for alpha in cfg.alphas:
         # The mean-state path is evaluated in closed form (zero control):

@@ -9,6 +9,7 @@ in row-major order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,7 @@ def _check_keys(node: dict, allowed: set[str], where: str) -> None:
 
 
 def _number(node: dict, key: str, where: str, default=None):
+    """``node[key]``, which must be a finite number; JSON's NaN and Infinity are not."""
     if key not in node:
         if default is None:
             raise ConfigError(f"missing required key {key!r} in {where}")
@@ -57,6 +59,8 @@ def _number(node: dict, key: str, where: str, default=None):
     val = node[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {val!r}")
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(f"{where}.{key} must be a finite number, got {val!r}")
     return val
 
 
@@ -159,21 +163,18 @@ def _parse_initial_state(node, dim: int) -> np.ndarray:
 
 
 def _parse_integrator(node) -> IntegratorConfig:
-    node = _require_mapping(node, "ensemble.integrator")
-    _check_keys(
-        node, {"dt", "t_final", "floor", "repair_tolerance", "record_stride"},
-        "ensemble.integrator",
-    )
+    """``dt`` and ``t_final`` are required; an omitted key takes IntegratorConfig's default."""
+    where = "ensemble.integrator"
+    node = _require_mapping(node, where)
+    _check_keys(node, {"dt", "t_final", "floor", "repair_tolerance", "record_stride"}, where)
+    kwargs = {key: float(_number(node, key, where)) for key in ("dt", "t_final")}
+    for key in ("floor", "repair_tolerance"):
+        if key in node:
+            kwargs[key] = float(_number(node, key, where))
+    if "record_stride" in node:
+        kwargs["record_stride"] = _integer(node, "record_stride", where)
     try:
-        return IntegratorConfig(
-            dt=float(_number(node, "dt", "ensemble.integrator")),
-            t_final=float(_number(node, "t_final", "ensemble.integrator")),
-            floor=float(_number(node, "floor", "ensemble.integrator", default=1e-12)),
-            repair_tolerance=float(
-                _number(node, "repair_tolerance", "ensemble.integrator", default=0.1)
-            ),
-            record_stride=_integer(node, "record_stride", "ensemble.integrator", default=30),
-        )
+        return IntegratorConfig(**kwargs)
     except ValidationError as err:
         raise ConfigError(str(err)) from None
 
@@ -185,12 +186,14 @@ def _parse_ensemble(node, default_workers: int) -> EnsembleConfig:
     )
     if "integrator" not in node:
         raise ConfigError("missing required key 'integrator' in ensemble")
+    kwargs = {"n_trajectories": _integer(node, "n_trajectories", "ensemble")}
+    if "master_seed" in node:
+        kwargs["master_seed"] = _integer(node, "master_seed", "ensemble")
     try:
         return EnsembleConfig(
-            n_trajectories=_integer(node, "n_trajectories", "ensemble"),
-            master_seed=_integer(node, "master_seed", "ensemble", default=0),
             worker_count=_integer(node, "worker_count", "ensemble", default=default_workers),
             integrator=_parse_integrator(node["integrator"]),
+            **kwargs,
         )
     except ValidationError as err:
         raise ConfigError(str(err)) from None
@@ -243,7 +246,7 @@ def load_config(path: str, default_workers: int = 1) -> RunConfig:
         if not isinstance(vals, list) or not vals:
             raise ConfigError("sweep.alphas must be a non-empty list of numbers")
         for a in vals:
-            if isinstance(a, bool) or not isinstance(a, (int, float)) or a < 0:
+            if isinstance(a, bool) or not isinstance(a, (int, float)) or not 0 <= a < math.inf:
                 raise ConfigError(f"sweep.alphas entries must be nonnegative numbers, got {a!r}")
         alphas = tuple(float(a) for a in vals)
 

@@ -60,9 +60,9 @@ class EnsembleConfig:
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
 
     def __post_init__(self):
-        if self.n_trajectories < 1:
+        if not self.n_trajectories >= 1:
             raise ValidationError("n_trajectories must be >= 1")
-        if self.worker_count < 1:
+        if not self.worker_count >= 1:
             raise ValidationError("worker_count must be >= 1")
 
 
@@ -121,7 +121,7 @@ def _chunk_sums(payload, keep_rows: bool = False):
             kept.append(rows)
 
     try:
-        times = _run_em_batch(model, rho0, integrator, rngs, record)
+        _run_em_batch(model, rho0, integrator, rngs, record)
     except IntegrationError as err:
         traj = start + err.trajectory if err.trajectory is not None else None
         return IntegrationError(
@@ -136,7 +136,7 @@ def _chunk_sums(payload, keep_rows: bool = False):
         part["repair_total"] = float(repair[chunk].sum())
         if keep_rows:
             part["rows"] = {key: stacked[key][:, chunk] for key in TRAJECTORY_ROWS}
-    return times, parts
+    return integrator.checkpoint_times, parts
 
 
 def _se_from_sums(total, total_sq, n: int) -> np.ndarray:

@@ -21,9 +21,9 @@ from .linalg import (
     as_operator,
     check_same_dim,
     dagger,
-    hermiticity_defect,
     inverse_density,
     log_density,
+    require_hermitian,
     validate_density,
 )
 from .model import ModelSpec, dissipator, innovation
@@ -55,16 +55,13 @@ def von_neumann_entropy(rho) -> float:
     return float(entropy_from_eigenvalues(w))
 
 
-def observable_variance(probe, rho, herm_tol: float = 1e-10) -> float:
+def observable_variance(probe, rho) -> float:
     """Tr(L^2 rho) - Tr(L rho)^2 for a Hermitian probe L."""
     l = as_operator(probe, "probe")
-    defect = hermiticity_defect(l)
-    if defect > herm_tol:
-        raise ValidationError(
-            "observable variance requires a Hermitian probe "
-            f"(max asymmetry {defect:.3e}); non-Hermitian probes are outside "
-            "the validity domain of the rate bound"
-        )
+    require_hermitian(
+        l, "observable variance requires a Hermitian probe (max asymmetry {:.3e}); "
+        "non-Hermitian probes are outside the validity domain of the rate bound"
+    )
     r = validate_density(rho)
     check_same_dim(l, r)
     mean = np.trace(l @ r).real
@@ -122,11 +119,7 @@ def ito_correction_terms(probe, rho, floor: float = EIG_FLOOR) -> tuple[float, f
     [L, rho] = 0; in general the first dominates the second.
     """
     l = as_operator(probe, "probe")
-    defect = hermiticity_defect(l)
-    if defect > 1e-10:
-        raise ValidationError(
-            f"Hermitian probe required (max asymmetry {defect:.3e})"
-        )
+    require_hermitian(l, "Hermitian probe required (max asymmetry {:.3e})")
     r = validate_density(rho)
     check_same_dim(l, r)
     b = innovation(l, r)
@@ -137,13 +130,9 @@ def ito_correction_terms(probe, rho, floor: float = EIG_FLOOR) -> tuple[float, f
 def entropy_rate_bound(model: ModelSpec, mean_state) -> float:
     """Lower bound on the entropy rate evaluated at the mean state.
 
-    quantumness(M, rho) - 4 Var[L](rho); requires a Hermitian probe.
+    quantumness(M, rho) - 4 Var[L](rho); requires a Hermitian probe
+    (``observable_variance`` checks it).
     """
-    if not model.probe_is_hermitian():
-        raise ValidationError(
-            "entropy rate bound requires a Hermitian probe; got max asymmetry "
-            f"{hermiticity_defect(model.probe):.3e}"
-        )
     r = validate_density(mean_state)
     var = observable_variance(model.probe, r)
     return float(np.trace(model.quantumness_operator @ r).real) - 4.0 * var
@@ -176,6 +165,12 @@ def log_inequality_gap(rho, floor: float = EIG_FLOOR) -> float:
     return float(np.linalg.eigvalsh((gap_matrix + dagger(gap_matrix)) / 2.0)[0])
 
 
+def check_bound_checkpoints(n: int) -> None:
+    """Raise ValidationError unless ``n`` checkpoints allow a central difference."""
+    if n < 3:
+        raise ValidationError(f"need at least 3 checkpoints, got {n}")
+
+
 def entropy_rate_estimate(stats: "EnsembleStatistics") -> tuple[np.ndarray, np.ndarray]:
     """Finite-difference d E[S_t]/dt along an ensemble, with errors.
 
@@ -187,8 +182,7 @@ def entropy_rate_estimate(stats: "EnsembleStatistics") -> tuple[np.ndarray, np.n
     s = np.asarray(stats.mean_entropy, dtype=float)
     se = np.asarray(stats.entropy_se, dtype=float)
     n = len(t)
-    if n < 3:
-        raise ValidationError(f"need at least 3 checkpoints, got {n}")
+    check_bound_checkpoints(n)
     rate = np.empty(n)
     rate_se = np.empty(n)
     rate[0] = (s[1] - s[0]) / (t[1] - t[0])

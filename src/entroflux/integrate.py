@@ -53,7 +53,7 @@ class IntegratorConfig:
     """Step size, horizon and repair settings for one integration.
 
     ``record_stride`` controls how many steps separate recorded
-    checkpoints; step 0 is always recorded.
+    checkpoints; step 0 is always recorded.  The range checks reject NaN.
     """
 
     dt: float = 1e-3
@@ -66,20 +66,25 @@ class IntegratorConfig:
     record_stride: int = 30
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValidationError("dt must be positive")
-        if self.t_final < self.dt:
-            raise ValidationError("t_final must be at least dt")
-        if self.floor <= 0:
+        if not self.dt <= self.t_final < math.inf:
+            raise ValidationError("t_final must be finite and at least dt")
+        if not self.floor > 0:
             raise ValidationError("floor must be positive")
-        if self.repair_tolerance <= 0:
+        if not self.repair_tolerance > 0:
             raise ValidationError("repair_tolerance must be positive")
-        if self.record_stride < 1:
+        if not self.record_stride >= 1:
             raise ValidationError("record_stride must be >= 1")
 
     @property
     def n_steps(self) -> int:
         return max(1, int(round(self.t_final / self.dt)))
+
+    @property
+    def checkpoint_times(self) -> np.ndarray:
+        """Times of the recorded checkpoints: every ``record_stride`` steps from step 0."""
+        return np.arange(0, self.n_steps + 1, self.record_stride) * self.dt
 
 
 @dataclass(frozen=True)
@@ -334,14 +339,14 @@ def _run_em_batch(
     cfg: IntegratorConfig,
     rngs: list,
     record,
-) -> np.ndarray:
-    """Step one trajectory per generator as one batch; return the checkpoint times.
+) -> None:
+    """Step one trajectory per generator as one batch.
 
     Row b draws its Wiener increments from ``rngs[b]``, a block of steps
     at a time, so the batch never holds more than ``NOISE_BUDGET_BYTES``
-    of noise however long the horizon.  At each checkpoint ``record(rows)``
-    gets a dict mapping each name in ``TRAJECTORY_ROWS`` to that
-    checkpoint's per-row array.
+    of noise however long the horizon.  At each of ``cfg.checkpoint_times``
+    ``record(rows)`` gets a dict mapping each name in ``TRAJECTORY_ROWS``
+    to that checkpoint's per-row array.
     """
     kernel = _EulerMaruyamaKernel(model, cfg)
     rows = len(rngs)
@@ -351,10 +356,8 @@ def _run_em_batch(
 
     v = np.tile(rho0.reshape(-1), (rows, 1))
     noise = np.empty((min(block, n_steps), rows))
-    times = []
 
-    def checkpoint(step: int):
-        times.append(step * cfg.dt)
+    def checkpoint():
         states = v.reshape(rows, *rho0.shape)
         # the accumulators are updated in place, so a record keeps copies
         record({"states": states, "entropies": entropy_of_states(states),
@@ -363,7 +366,7 @@ def _run_em_batch(
     dw_acc = np.zeros(rows)
     rep_acc = np.zeros(rows)
     y_acc = np.zeros(rows)
-    checkpoint(0)
+    checkpoint()
     for step in range(1, n_steps + 1):
         j = (step - 1) % block
         if j == 0:
@@ -384,10 +387,9 @@ def _run_em_batch(
         dw_acc += dw
         rep_acc += mags
         if step % stride == 0:
-            checkpoint(step)
+            checkpoint()
             dw_acc[:] = 0.0
             rep_acc[:] = 0.0
-    return np.array(times)
 
 
 def simulate_trajectory(
@@ -404,10 +406,10 @@ def simulate_trajectory(
     """
     rho = _initial_state(model, rho0)
     kept = []
-    times = _run_em_batch(model, rho, cfg, [np.random.default_rng(seed)], kept.append)
+    _run_em_batch(model, rho, cfg, [np.random.default_rng(seed)], kept.append)
     out = _stack_rows(kept)
     return TrajectoryRecord(
-        times=times,
+        times=cfg.checkpoint_times,
         states=out["states"][:, 0],
         entropies=out["entropies"][:, 0],
         dW_draws=out["dw_sums"][:, 0],
@@ -431,51 +433,36 @@ def integrate_master_equation(
     rho = _initial_state(model, rho0)
     gen = model.generator(u_fixed)
 
-    n_steps = cfg.n_steps
-    stride = cfg.record_stride
-    n_rec = n_steps // stride + 1
-    dim = model.dim
     dt = cfg.dt
-
     v = rho.reshape(-1).astype(np.complex128)
-    times = np.empty(n_rec)
-    states = np.empty((n_rec, dim, dim), dtype=np.complex128)
+    states = []
 
-    def record(slot: int, step: int):
-        mat = v.reshape(dim, dim)
-        if not np.all(np.isfinite(mat)):
-            raise IntegrationError(
-                f"master equation integration diverged by step {step}; "
-                "the step size is too large for the model's rates",
-                step=step,
+    def record(step: int):
+        mat = v.reshape(rho.shape)
+        try:
+            states.append(
+                validate_density(0.5 * (mat + dagger(mat)), eig_tol=1e-9, trace_tol=1e-9)
             )
-        mat = 0.5 * (mat + dagger(mat))
-        w = np.linalg.eigvalsh(mat)
-        if w[0] < -1e-9 or abs(mat.trace().real - 1.0) > 1e-9:
+        except ValidationError as err:
             raise IntegrationError(
-                f"master equation state invalid at step {step}: "
-                f"min eigenvalue {w[0]:.3e}, trace {mat.trace().real:.12f}",
-                step=step,
-            )
-        times[slot] = step * dt
-        states[slot] = mat
+                f"master equation state invalid at step {step}: {err}", step=step
+            ) from None
 
-    record(0, 0)
-    slot = 1
+    record(0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
+        for step in range(1, cfg.n_steps + 1):
             k1 = gen @ v
             k2 = gen @ (v + 0.5 * dt * k1)
             k3 = gen @ (v + 0.5 * dt * k2)
             k4 = gen @ (v + dt * k3)
             v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if step % stride == 0:
-                record(slot, step)
-                slot += 1
+            if step % cfg.record_stride == 0:
+                record(step)
 
-    zeros = np.zeros(n_rec)
+    states = np.array(states)
+    zeros = np.zeros(len(states))
     return TrajectoryRecord(
-        times=times,
+        times=cfg.checkpoint_times,
         states=states,
         entropies=entropy_of_states(states),
         dW_draws=zeros,

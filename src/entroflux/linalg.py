@@ -49,6 +49,17 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - dagger(a)))) if a.size else 0.0
 
 
+def is_hermitian(a: np.ndarray) -> bool:
+    """True iff ``a`` is within ``HERMITICITY_TOL`` of Hermitian."""
+    return hermiticity_defect(a) <= HERMITICITY_TOL
+
+
+def require_hermitian(a: np.ndarray, message: str) -> None:
+    """Unless ``is_hermitian(a)``, raise ValidationError(message.format(max asymmetry))."""
+    if not is_hermitian(a):
+        raise ValidationError(message.format(hermiticity_defect(a)))
+
+
 def check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
@@ -150,6 +161,8 @@ def hermitian_eig(m, herm_tol: float = 1e-8) -> SpectralDecomposition:
 
 def matrix_function(rho, f, floor: float = EIG_FLOOR) -> np.ndarray:
     """Apply the scalar function ``f`` to the floored spectrum of ``rho``."""
+    if not floor > 0:
+        raise ValidationError("floor must be positive")
     dec = hermitian_eig(rho)
     w = np.maximum(dec.eigenvalues, floor)
     out = (dec.vectors * f(w)) @ dagger(dec.vectors)
@@ -162,16 +175,12 @@ def log_density(rho, floor: float = EIG_FLOOR) -> np.ndarray:
     Eigenvalues below ``floor`` are lifted to it before taking logs, so
     pure states map to finite (if large-magnitude) matrices.
     """
-    if floor <= 0:
-        raise ValidationError("floor must be positive")
     a = validate_density(rho)
     return matrix_function(a, np.log, floor)
 
 
 def inverse_density(rho, floor: float = EIG_FLOOR) -> np.ndarray:
     """Floored spectral inverse of a density matrix."""
-    if floor <= 0:
-        raise ValidationError("floor must be positive")
     a = validate_density(rho)
     return matrix_function(a, lambda w: 1.0 / w, floor)
 

@@ -23,7 +23,8 @@ from .linalg import (
     as_operator,
     check_same_dim,
     dagger,
-    hermiticity_defect,
+    is_hermitian,
+    require_hermitian,
     validate_density,
 )
 
@@ -90,19 +91,15 @@ class ModelSpec:
                 raise ValidationError(
                     f"{name} has shape {op.shape}, expected ({self.dim}, {self.dim})"
                 )
-        defect = hermiticity_defect(h)
-        if defect > 1e-10:
-            raise ValidationError(
-                f"hamiltonian is not Hermitian: max asymmetry {defect:.3e}"
-            )
+        require_hermitian(h, "hamiltonian is not Hermitian: max asymmetry {:.3e}")
         if self.control.kind == "bloch_x_proportional" and self.dim != 2:
             raise ValidationError("bloch_x_proportional control requires a two-level system")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "probe", l)
         object.__setattr__(self, "decoherence", m)
 
-    def probe_is_hermitian(self, tol: float = 1e-10) -> bool:
-        return hermiticity_defect(self.probe) <= tol
+    def probe_is_hermitian(self) -> bool:
+        return is_hermitian(self.probe)
 
     @cached_property
     def dissipative_superop(self) -> np.ndarray:

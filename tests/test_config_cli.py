@@ -1,6 +1,7 @@
 import json
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +9,14 @@ import pytest
 from entroflux import cli, ensemble, linalg
 from entroflux.cli import main
 from entroflux.config import ConfigError, load_config
-from entroflux.ensemble import run_ensemble, trajectory_seed
+from entroflux.ensemble import EnsembleConfig, run_ensemble, trajectory_seed
 from entroflux.entropy import BOUND_SIGN_TOL, build_bound_report, entropy_rate_bound
-from entroflux.integrate import TRAJECTORY_ROWS, IntegrationError, simulate_trajectory
+from entroflux.integrate import (
+    TRAJECTORY_ROWS,
+    IntegrationError,
+    IntegratorConfig,
+    simulate_trajectory,
+)
 from entroflux.linalg import (
     ValidationError,
     random_density,
@@ -657,3 +663,134 @@ class TestWorkerEnvDefault:
         cfg = write_config(tmp_path / "c.json")
         monkeypatch.setenv("ENTROFLUX_WORKERS", "many")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def _with_integrator(path, emit=("ensemble",), **integrator):
+    write_config(path, emit=list(emit))
+    raw = json.loads(path.read_text())
+    raw["ensemble"]["integrator"].update(integrator)
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+class TestNonFiniteNumbers:
+    # json.load reads NaN and Infinity; every such number is a config error
+    @pytest.mark.parametrize("where, key, value", [
+        ("integrator", "repair_tolerance", float("nan")),
+        ("integrator", "dt", float("nan")),
+        ("integrator", "t_final", float("inf")),
+        ("integrator", "record_stride", float("nan")),
+        ("ensemble", "n_trajectories", float("inf")),
+        ("control", "value", float("nan")),
+    ])
+    def test_exits_two(self, tmp_path, capsys, where, key, value):
+        path = tmp_path / "c.json"
+        write_config(path, scenario={"kind": "qubit", "kappa": 1.0, "alpha": 6.0,
+                                     "control": {"kind": "constant", "value": 1.0}})
+        raw = json.loads(path.read_text())
+        node = {"integrator": raw["ensemble"]["integrator"], "ensemble": raw["ensemble"],
+                "control": raw["scenario"]["control"]}[where]
+        node[key] = value
+        path.write_text(json.dumps(raw))
+        assert main(["verify-bound", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "must be a finite number" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"dt": float("nan")}, "dt must be positive"),
+        ({"t_final": float("nan")}, "t_final"),
+        ({"t_final": float("inf")}, "t_final"),
+        ({"floor": float("nan")}, "floor must be positive"),
+        ({"repair_tolerance": float("nan")}, "repair_tolerance must be positive"),
+        ({"record_stride": float("nan")}, "record_stride"),
+    ])
+    def test_integrator_config_rejects_nan(self, kwargs, match):
+        with pytest.raises(ValidationError, match=match):
+            IntegratorConfig(**kwargs)
+
+    def test_ensemble_config_rejects_nan(self):
+        with pytest.raises(ValidationError, match="n_trajectories"):
+            EnsembleConfig(n_trajectories=float("nan"))
+        with pytest.raises(ValidationError, match="worker_count"):
+            EnsembleConfig(n_trajectories=1, worker_count=float("nan"))
+
+
+class TestRulesCheckedBeforeTheRun:
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("run_ensemble was called")
+        monkeypatch.setattr(cli, "run_ensemble", fail)
+
+    @pytest.mark.parametrize("command, emit", [("verify-bound", ["ensemble"]),
+                                               ("simulate", ["ensemble", "bound_report"])])
+    def test_two_checkpoints_exit_two(self, tmp_path, capsys, no_run, command, emit):
+        path = _with_integrator(tmp_path / "c.json", emit, t_final=0.019, record_stride=10)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: need at least 3 checkpoints, got 2\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_simulate_without_a_bound_report_takes_two_checkpoints(self, tmp_path):
+        path = _with_integrator(tmp_path / "c.json", t_final=0.019, record_stride=10)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        assert len((tmp_path / "o" / "ensemble.csv").read_text().splitlines()) == 1 + 2
+
+    def test_bound_report_rejects_non_hermitian_probe_before_the_run(self, tmp_path, capsys,
+                                                                     no_run):
+        scenario = {"kind": "explicit", "dim": 2,
+                    "hamiltonian": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+                    "probe": [[[0, 0], [0, 0]], [[1, 0], [0, 0]]],
+                    "decoherence": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}
+        cfg = write_config(tmp_path / "c.json", scenario=scenario, emit=["bound_report"])
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: the rate bound requires a Hermitian probe (max asymmetry "
+            "1.000e+00): it is only valid for self-adjoint measured couplings\n")
+
+    def test_workers_below_one_exit_two(self, tmp_path, capsys, no_run):
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["simulate", "--config", cfg, "--workers", "0",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: worker_count must be >= 1\n"
+
+
+def _readme_config() -> str:
+    """The JSON block of the README's "Config file" section, verbatim."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("### Config file", 1)[1]
+    return section.split("```json\n", 1)[1].split("```", 1)[0]
+
+
+class TestReadmeConfig:
+    OPTIONAL = ("floor", "repair_tolerance", "record_stride")
+
+    def test_readme_block_loads(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(_readme_config())
+        raw = json.loads(_readme_config())
+        cfg = load_config(str(path))
+        integ = cfg.ensemble.integrator
+        for key, value in raw["ensemble"]["integrator"].items():
+            assert getattr(integ, key) == value, key
+        assert cfg.ensemble.n_trajectories == raw["ensemble"]["n_trajectories"]
+        assert cfg.alphas == tuple(raw["sweep"]["alphas"])
+
+    @pytest.mark.parametrize("omitted", [(key,) for key in OPTIONAL] + [OPTIONAL])
+    def test_omitted_integrator_keys_take_the_dataclass_defaults(self, tmp_path, omitted):
+        raw = json.loads(_readme_config())
+        for key in omitted:
+            del raw["ensemble"]["integrator"][key]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        integ = load_config(str(path)).ensemble.integrator
+        defaults = IntegratorConfig()
+        for key in omitted:
+            assert getattr(integ, key) == getattr(defaults, key), key
+
+    def test_omitted_master_seed_takes_the_dataclass_default(self, tmp_path):
+        raw = json.loads(_readme_config())
+        del raw["ensemble"]["master_seed"]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        assert load_config(str(path)).ensemble.master_seed == EnsembleConfig(1).master_seed

@@ -196,3 +196,30 @@ def test_config_validation():
         EnsembleConfig(n_trajectories=0)
     with pytest.raises(ValidationError, match="worker_count"):
         EnsembleConfig(n_trajectories=1, worker_count=0)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_standard_errors_are_the_brute_force_ones(dim):
+    # std(ddof=1) / sqrt(n) over the simulate_trajectory records, per checkpoint
+    if dim == 2:
+        model, rho0 = qubit_model(QubitScenario(kappa=1.0, alpha=6.0)), PLUS
+    else:
+        rng = np.random.default_rng(4)
+        model = ModelSpec(dim=4, hamiltonian=random_hermitian(4, rng),
+                          probe=random_hermitian(4, rng, scale=0.5),
+                          decoherence=random_operator(4, rng, scale=0.5),
+                          control=ControlLaw(kind="constant", value=0.5))
+        rho0 = random_density(4, min_eig=0.05, seed=3)
+    n = 50
+    stats = run_ensemble(model, rho0, EnsembleConfig(n_trajectories=n, master_seed=3,
+                                                     integrator=SHORT))
+    recs = [simulate_trajectory(model, rho0, SHORT, trajectory_seed(3, i)) for i in range(n)]
+    states = np.array([rec.states for rec in recs])
+    entropies = np.array([rec.entropies for rec in recs])
+    q = np.einsum("ij,nkji->nk", model.quantumness_operator, states).real
+    for got, samples in ((stats.entropy_se, entropies), (stats.quantumness_se, q),
+                         (stats.state_se, states)):
+        want = np.std(samples, axis=0, ddof=1) / np.sqrt(n)
+        assert want[1:].min() > 1e-4  # the runs spread, so the check is not 0 == 0
+        # at zero spread (t = 0) the sum-of-squares form keeps ~sqrt(eps) of the scale
+        np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-8)

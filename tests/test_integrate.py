@@ -690,3 +690,34 @@ class TestIntegratorConfig:
     def test_rejects_bad_stride(self):
         with pytest.raises(ValidationError, match="record_stride"):
             IntegratorConfig(record_stride=0)
+
+
+class TestCheckpointGrid:
+    @pytest.mark.parametrize("t_final, stride", [(0.05, 10), (0.059, 20), (0.001, 5)])
+    def test_every_runner_records_the_config_grid(self, t_final, stride):
+        cfg = IntegratorConfig(dt=1e-3, t_final=t_final, record_stride=stride)
+        # step k * stride at time (k * stride) * dt, bit for bit
+        want = [k * stride * cfg.dt for k in range(cfg.n_steps // stride + 1)]
+        assert cfg.checkpoint_times.tolist() == want
+        spec, rho0 = qubit_spec(kappa=1.0, gamma=6.0), bloch_to_density((1, 0, 0))
+        rec = simulate_trajectory(spec, rho0, cfg, 0)
+        oracle = integrate_master_equation(spec, rho0, cfg)
+        stats = run_ensemble(spec, rho0, EnsembleConfig(n_trajectories=3, integrator=cfg))
+        for times, states in ((rec.times, rec.states), (oracle.times, oracle.states),
+                              (stats.times, stats.mean_state)):
+            assert times.tolist() == want
+            assert len(states) == len(want)
+
+
+class TestMasterEquationFailure:
+    # kappa * dt = 10 is far outside RK4's stability region
+    @pytest.mark.parametrize("t_final, stride, step, reason", [
+        (0.01, 1, 1, "density matrix has negative eigenvalue -2.757e+03 below -1.0e-09"),
+        (1.0, 1000, 1000, "density matrix contains non-finite entries"),
+    ])
+    def test_invalid_state_names_its_step(self, t_final, stride, step, reason):
+        cfg = IntegratorConfig(dt=1e-3, t_final=t_final, record_stride=stride)
+        with pytest.raises(IntegrationError) as err:
+            integrate_master_equation(qubit_spec(kappa=1e4), bloch_to_density((1, 0, 0)), cfg)
+        assert err.value.step == step
+        assert str(err.value) == f"master equation state invalid at step {step}: {reason}"

@@ -10,9 +10,12 @@ from entroflux.linalg import (
     expectation,
     hermitian_eig,
     inverse_density,
+    is_hermitian,
     log_density,
+    matrix_function,
     random_density,
     random_hermitian,
+    require_hermitian,
     trace_distance,
     validate_densities,
     validate_density,
@@ -274,3 +277,20 @@ def test_spectral_decomposition_is_frozen():
     assert isinstance(dec, SpectralDecomposition)
     with pytest.raises(AttributeError):
         dec.eigenvalues = None
+
+
+@pytest.mark.parametrize("floor", [0.0, -1e-12, float("nan")])
+def test_matrix_functions_reject_a_nonpositive_floor(floor):
+    for fn in (lambda: log_density(KET0, floor=floor), lambda: inverse_density(KET0, floor=floor),
+               lambda: matrix_function(KET0, np.log, floor=floor)):
+        with pytest.raises(ValidationError, match="floor must be positive"):
+            fn()
+
+
+def test_hermiticity_rule():
+    assert is_hermitian(np.array([[0.0, 1e-10], [0.0, 0.0]]))
+    assert not is_hermitian(np.array([[0.0, 2e-10], [0.0, 0.0]]))
+    require_hermitian(np.eye(2), "unused {:.3e}")
+    with pytest.raises(ValidationError) as err:
+        require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), "probe asymmetry {:.3e}")
+    assert str(err.value) == "probe asymmetry 1.000e+00"
