@@ -12,8 +12,6 @@ chunk order.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -179,12 +177,15 @@ def _reduce(outcomes, trajectory_sink) -> dict:
     return totals
 
 
-def _span_outcomes(outcomes, payloads):
-    """Yield each span's outcome; a worker lost to a crash or to memory raises WorkerError."""
+def _span_outcomes(outcomes, payloads, lost=(MemoryError,)):
+    """Yield each span's outcome; a worker lost as ``lost`` names raises WorkerError.
+
+    A worker runs out of memory in any run; only a pool run can lose one to a crash.
+    """
     for payload in payloads:
         try:
             yield next(outcomes)
-        except (BrokenProcessPool, MemoryError) as err:
+        except lost as err:
             start, stop = payload[4:]
             raise WorkerError(
                 f"trajectories [{start}, {stop}) were not simulated: {err!r}"
@@ -233,9 +234,14 @@ def run_ensemble(model: ModelSpec, rho0, cfg: EnsembleConfig,
     if cfg.worker_count == 1 or len(payloads) == 1:
         totals = _reduce(_span_outcomes(map(work, payloads), payloads), trajectory_sink)
     else:
+        # imported here, so a run that starts no pool loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         with ProcessPoolExecutor(max_workers=cfg.worker_count) as executor:
-            totals = _reduce(_span_outcomes(executor.map(work, payloads), payloads),
-                             trajectory_sink)
+            outcomes = _span_outcomes(executor.map(work, payloads), payloads,
+                                      lost=(BrokenProcessPool, MemoryError))
+            totals = _reduce(outcomes, trajectory_sink)
 
     mean_state = totals["state"] / n
     validate_densities(mean_state)

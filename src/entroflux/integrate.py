@@ -21,7 +21,7 @@ import numpy as np
 
 from .entropy import entropy_of_states
 from .linalg import ValidationError, as_operator, dagger, validate_density
-from .model import ModelSpec, hamiltonian_superop, innovation_superop
+from .model import ModelSpec
 
 # A trajectory whose accumulated clipped mass exceeds this is flagged as
 # unreliable (the flag is informational; per-step failures raise).
@@ -125,7 +125,7 @@ class TrajectoryRecord:
 
 def wiener_increment(rng: np.random.Generator, dt: float, size: int | None = None):
     """Draw N(0, dt) increments, advancing ``rng`` deterministically."""
-    if dt <= 0:
+    if not dt > 0:
         raise ValidationError("dt must be positive")
     return rng.normal(0.0, math.sqrt(dt), size) if size is not None else float(
         rng.normal(0.0, math.sqrt(dt))
@@ -152,56 +152,102 @@ def _raise_first_failure(lost: np.ndarray, magnitude: np.ndarray, tol: float) ->
     )
 
 
-def _project_batch(v: np.ndarray, dim: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+class _Workspace:
+    """The arrays one step of an n-row batch writes, allocated once and reused.
+
+    ``drift`` ends a step as v + drift dt + innovation dW, the rows the
+    repair reads, and ``state`` takes the repaired rows.  The 2x2 repair
+    keeps its per-row arrays here too, with the column views it reads
+    and writes.  Each step overwrites them all.
+    """
+
+    def __init__(self, n: int, dim: int):
+        shape = (n, dim * dim)
+        self.drift = np.empty(shape, np.complex128)
+        self.innov = np.empty(shape, np.complex128)
+        self.prod = np.empty(shape, np.complex128)  # tr_meas * v, and u * (v @ ham_t)
+        self.state = np.empty(shape, np.complex128)
+        self.mean = np.empty(n, np.complex128)
+        self.zeros = np.zeros(n)  # the clipped mass of a step where no row clips
+        if dim == 2:
+            self.a, self.d = self.drift[:, 0].real, self.drift[:, 3].real
+            self.x1, self.x2 = self.drift[:, 1], self.drift[:, 2]
+            self.b = np.empty(n, np.complex128)
+            self.b_re, self.b_im = self.b.real, self.b.imag
+            # the divisor, trace + 0j: the trace is its real part
+            self.safe = np.zeros(n, np.complex128)
+            self.trace = self.safe.real
+            self.p, self.r, self.lam_min = np.empty(n), np.empty(n), np.empty(n)
+            self.out = [self.state[:, k] for k in range(4)]
+
+
+def _project_batch(v: np.ndarray, dim: int, tol: float,
+                   work: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Repair a batch of vectorized states: symmetrize, clip, renormalize.
 
     Returns the repaired batch and the clipped mass per row.  Raises
     IntegrationError naming the first row whose clipped mass exceeds
     ``tol`` or that has no positive mass left; a row with a non-finite
     entry has none (the 2x2 branch reads only the real diagonal and the
-    off-diagonal entries).
+    off-diagonal entries).  ``work``, if given, is the workspace whose
+    ``drift`` array ``v`` is; the 2x2 branch then returns arrays of that
+    workspace, which its next use overwrites.
     """
     if dim == 2:
+        w = work
+        if w is None:
+            w = _Workspace(len(v), 2)
+            w.drift[:] = v
+        a, d, b, trace, p, r, lam_min = w.a, w.d, w.b, w.trace, w.p, w.r, w.lam_min
         # the numpy operations, and their order, of the plain full-batch
         # formulas, so every bit (exact-zero signs too) is theirs
-        a = v[:, 0].real
-        d = v[:, 3].real
-        b = np.add(v[:, 1], v[:, 2].conj())
+        np.conjugate(w.x2, out=b)
+        np.add(w.x1, b, out=b)
         b *= 0.5
-        trace = a + d
-        p = 0.5 * trace
-        r = np.square(a - d)
+        np.add(a, d, out=trace)
+        np.multiply(0.5, trace, out=p)
+        np.subtract(a, d, out=r)
+        np.square(r, out=r)
         r *= 0.25
-        r += b.real ** 2
-        r += b.imag ** 2
+        np.square(w.b_re, out=lam_min)
+        r += lam_min
+        np.square(w.b_im, out=lam_min)
+        r += lam_min
         np.sqrt(r, out=r)
-        lam_min = p - r
-        clip = lam_min < 0.0
-        magnitude = np.where(clip, -lam_min, 0.0)
-        alive = p + r > 0.0
-        # max(-lo, 0) is magnitude.max(); a non-finite entry leaves lo NaN or -inf
+        np.subtract(p, r, out=lam_min)
         lo = lam_min.min()
-        if not (alive.all() and math.isfinite(lo) and max(-lo, 0.0) <= tol):
-            _raise_first_failure(~alive | ~np.isfinite(lam_min), magnitude, tol)
-        # clipped rows may carry a nonpositive trace; their renormalized
-        # values are overwritten below, so only guard the division
-        safe = np.where(np.abs(trace) > 0.0, trace, 1.0).astype(np.complex128)
-        out = np.empty_like(v)
-        np.divide(a, safe, out=out[:, 0])
-        np.divide(b, safe, out=out[:, 1])
-        np.divide(b.conj(), safe, out=out[:, 2])
-        np.divide(d, safe, out=out[:, 3])
-        clipped = np.flatnonzero(clip)
-        if clipped.size:
+        # with no row clipped, p >= r >= 0 on every row, so p + r > 0 is p > 0;
+        # a non-finite entry leaves lo NaN or infinite
+        if 0.0 <= lo < math.inf and p.min() > 0.0:
+            magnitude = w.zeros
+        else:
+            clip = lam_min < 0.0
+            magnitude = np.where(clip, -lam_min, 0.0)
+            alive = np.add(p, r, out=p)  # p is not read again
+            # max(-lo, 0) is magnitude.max()
+            if not (alive.min() > 0.0 and math.isfinite(lo) and max(-lo, 0.0) <= tol):
+                _raise_first_failure(~(alive > 0.0) | ~np.isfinite(lam_min), magnitude, tol)
+            # only clipped rows may carry a nonpositive trace, and their
+            # renormalized values are overwritten below
+            clipped = np.flatnonzero(clip)
+            trace[clipped] = 1.0
+        out0, out1, out2, out3 = w.out
+        np.divide(a, w.safe, out=out0)
+        np.divide(b, w.safe, out=out1)
+        np.conjugate(b, out=out2)
+        np.divide(out2, w.safe, out=out2)
+        np.divide(d, w.safe, out=out3)
+        if magnitude is not w.zeros:
             rc = r[clipped]
             rsafe = np.where(rc > 0.0, rc, 1.0)
             wz = 0.5 * (a[clipped] - d[clipped])
+            wz /= rsafe
             off = 0.5 * b[clipped] / rsafe
-            out[clipped, 0] = 0.5 * (1.0 + wz / rsafe)
-            out[clipped, 1] = off
-            out[clipped, 2] = off.conj()
-            out[clipped, 3] = 0.5 * (1.0 - wz / rsafe)
-        return out, magnitude
+            out0[clipped] = 0.5 * (1.0 + wz)
+            out1[clipped] = off
+            out2[clipped] = off.conj()
+            out3[clipped] = 0.5 * (1.0 - wz)
+        return w.state, magnitude
 
     mats = v.reshape(-1, dim, dim)
     # a non-finite row becomes zero, so it is lost, not fed to the eigensolver
@@ -232,11 +278,6 @@ def project_to_physical(m, tol: float = np.inf) -> tuple[np.ndarray, float]:
 
 # --- Euler-Maruyama kernel -------------------------------------------------
 
-def _as_batch(v: np.ndarray) -> np.ndarray:
-    """A lone row as two identical rows; any other batch as it is."""
-    return np.concatenate((v, v)) if len(v) == 1 else v
-
-
 class _EulerMaruyamaKernel:
     """Precomputed one-step map for a model and step size.
 
@@ -244,7 +285,9 @@ class _EulerMaruyamaKernel:
     build time; the state-proportional law is evaluated per step.  A
     lone row is multiplied as two identical rows: numpy sends a single
     row through another BLAS path than a batch, which for d > 2 changes
-    the last bits.
+    the last bits.  The step's arrays are allocated once per batch size
+    and reused, so the arrays ``measured_mean`` and ``step`` return are
+    overwritten by the next call.
     """
 
     def __init__(self, model: ModelSpec, cfg: IntegratorConfig):
@@ -255,36 +298,59 @@ class _EulerMaruyamaKernel:
         self.bloch_gain = None
         if law.kind == "bloch_x_proportional":
             self.bloch_gain = law.gain
-            self.ham_t = hamiltonian_superop(model.hamiltonian).T.copy()
+            self.ham_t = model.feedback_superop.T.copy()
         l = model.probe
         self.drift_t = model.generator(law.value if law.kind == "constant" else 0.0).T.copy()
-        self.lin_t = innovation_superop(l).T.copy()
+        self.lin_t = model.measurement_superop.T.copy()
         self.k_meas = (l + dagger(l)).T.reshape(-1).copy()
+        self.rows = 0
+
+    def _batch(self, v: np.ndarray) -> np.ndarray:
+        """``v`` as the rows the products take, in the workspace of its batch size."""
+        rows = len(v)
+        if rows != self.rows:
+            self.rows = rows
+            self.work = w = _Workspace(max(rows, 2), self.dim)
+            self.mean_rows, self.no_clip = w.mean.real[:rows], w.zeros[:rows]
+        if rows == 1:
+            self.work.state[:] = v
+            return self.work.state
+        return v
 
     def measured_mean(self, v: np.ndarray) -> np.ndarray:
         """Tr[(L + L^dag) rho] per row."""
-        return (_as_batch(v) @ self.k_meas).real[:len(v)]
+        np.matmul(self._batch(v), self.k_meas, out=self.work.mean)
+        return self.mean_rows
 
     def step(self, v: np.ndarray, dw: np.ndarray,
              tr_meas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Advance a (batch, d*d) state array by one repaired EM step.
 
         ``tr_meas`` is ``measured_mean(v)``, which the caller needs too.
+        A step where no row clips returns ``no_clip``, zeros of the
+        kernel's own, as the clipped mass.
         """
         rows = len(v)
-        v = _as_batch(v)
-        drift = v @ self.drift_t
+        v = self._batch(v)
+        w = self.work
+        drift, innov, prod = w.drift, w.innov, w.prod
+        np.matmul(v, self.drift_t, out=drift)
         if self.bloch_gain is not None:
             u = -self.bloch_gain * (v[:, 1] + v[:, 2]).real
-            drift += u[:, None] * (v @ self.ham_t)
-        innov = v @ self.lin_t
-        innov -= tr_meas[:, None] * v
+            np.matmul(v, self.ham_t, out=prod)
+            np.multiply(u[:, None], prod, out=prod)
+            drift += prod
+        np.matmul(v, self.lin_t, out=innov)
+        np.multiply(tr_meas[:, None], v, out=prod)
+        innov -= prod
         # v + drift * dt + innov * dw, in that order
         drift *= self.dt
         drift += v
         innov *= dw[:, None]
         drift += innov
-        out, magnitude = _project_batch(drift, self.dim, self.tol)
+        out, magnitude = _project_batch(drift, self.dim, self.tol, w)
+        if magnitude is w.zeros:
+            return out[:rows], self.no_clip
         return out[:rows], magnitude[:rows]
 
 
@@ -356,10 +422,12 @@ def _run_em_batch(
 
     v = np.tile(rho0.reshape(-1), (rows, 1))
     noise = np.empty((min(block, n_steps), rows))
+    y_step = np.empty(rows)
 
     def checkpoint():
-        states = v.reshape(rows, *rho0.shape)
-        # the accumulators are updated in place, so a record keeps copies
+        # the step reuses its arrays and the accumulators are updated in
+        # place, so a record keeps copies
+        states = v.reshape(rows, *rho0.shape).copy()
         record({"states": states, "entropies": entropy_of_states(states),
                 "dw_sums": dw_acc.copy(), "rep_sums": rep_acc.copy(), "y_path": y_acc.copy()})
 
@@ -375,7 +443,8 @@ def _run_em_batch(
                 noise[:size, b] = wiener_increment(rng, cfg.dt, size=size)
         dw = noise[j]
         tr_meas = kernel.measured_mean(v)
-        y_acc += tr_meas * cfg.dt
+        np.multiply(tr_meas, cfg.dt, out=y_step)
+        y_acc += y_step
         y_acc += dw
         try:
             v, mags = kernel.step(v, dw, tr_meas)
@@ -385,7 +454,9 @@ def _run_em_batch(
                 trajectory=err.trajectory, magnitude=err.magnitude,
             ) from None
         dw_acc += dw
-        rep_acc += mags
+        # adding no_clip's +0.0 to the nonnegative sums would change no bit
+        if mags is not kernel.no_clip:
+            rep_acc += mags
         if step % stride == 0:
             checkpoint()
             dw_acc[:] = 0.0

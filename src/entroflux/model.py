@@ -13,6 +13,7 @@ equation whose right-hand side is ``lindblad_rhs``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -49,6 +50,10 @@ class ControlLaw:
             raise ValidationError(
                 f"unknown control law {self.kind!r}; expected one of {CONTROL_KINDS}"
             )
+        for name in ("value", "gain"):
+            x = getattr(self, name)
+            if not math.isfinite(x):
+                raise ValidationError(f"control {name} must be finite, got {x!r}")
 
 
 def evaluate_control(law: ControlLaw, rho: np.ndarray) -> float:
@@ -107,6 +112,16 @@ class ModelSpec:
         return dissipator_superop(self.probe) + dissipator_superop(self.decoherence)
 
     @cached_property
+    def feedback_superop(self) -> np.ndarray:
+        """Matrix of rho -> -i [H, rho], the drift per unit control input."""
+        return hamiltonian_superop(self.hamiltonian)
+
+    @cached_property
+    def measurement_superop(self) -> np.ndarray:
+        """Matrix of rho -> L rho + rho L^dag, the linear part of the innovation H[L] rho."""
+        return innovation_superop(self.probe)
+
+    @cached_property
     def quantumness_operator(self) -> np.ndarray:
         """[M^dag, M], whose expectation is the quantumness of the decoherence."""
         m = self.decoherence
@@ -115,7 +130,7 @@ class ModelSpec:
     def generator(self, u: float) -> np.ndarray:
         """Matrix of the master-equation right-hand side at a fixed control input u."""
         if u != 0.0:
-            return self.dissipative_superop + u * hamiltonian_superop(self.hamiltonian)
+            return self.dissipative_superop + u * self.feedback_superop
         return self.dissipative_superop
 
 
@@ -149,7 +164,7 @@ def sme_increment(model: ModelSpec, rho, dt: float, dW: float) -> np.ndarray:
     Returns (-i[uH, rho] + D[L] rho + D[M] rho) dt + H[L] rho dW with
     u = evaluate_control(model.control, rho).  The result is traceless.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValidationError("dt must be positive")
     r = validate_density(rho)
     return lindblad_rhs(model, r) * dt + innovation(model.probe, r) * dW

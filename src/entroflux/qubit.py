@@ -72,10 +72,12 @@ class QubitScenario:
     control: ControlLaw = field(default_factory=ControlLaw)
 
     def __post_init__(self):
-        if self.kappa < 0:
-            raise ValidationError("kappa must be nonnegative")
-        if self.alpha < 0:
-            raise ValidationError("alpha must be nonnegative")
+        for name in ("kappa", "alpha"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
+            if value < 0:
+                raise ValidationError(f"{name} must be nonnegative")
 
     @property
     def gamma(self) -> float:

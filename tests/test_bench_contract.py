@@ -100,10 +100,10 @@ PINNED_BUILD = ("2.4.6", "scipy-openblas 0.3.31.188.0")
 @pytest.mark.skipif((np.__version__, _blas()) != PINNED_BUILD,
                     reason="bench/reference.json pins the bytes of numpy 2.4.6 on "
                            "scipy-openblas 0.3.31.188.0")
-@pytest.mark.parametrize("name", ["qubit_trajectory_csv", "explicit_d4"])
+@pytest.mark.parametrize("name", ["qubit_trajectory_csv", "qubit_long_horizon", "explicit_d4"])
 def test_outputs_match_the_pinned_reference(bench, name, tmp_path):
-    # the qubit workload takes the closed-form 2x2 repair, the d=4 one the
-    # general eigenvalue repair
+    # the qubit workloads take the closed-form 2x2 repair, in 32-row and
+    # 256-row batches, the d=4 one the general eigenvalue repair
     with open(os.path.join(os.path.dirname(TRACER), "reference.json"), encoding="utf-8") as fh:
         want = json.load(fh)[name]["0"]
     w = bench.workloads.WORKLOADS[name]

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from entroflux import ensemble
 from entroflux.ensemble import (
     CHUNK_SIZE,
     MAX_SPAN_CHUNKS,
@@ -223,3 +228,24 @@ def test_standard_errors_are_the_brute_force_ones(dim):
         assert want[1:].min() > 1e-4  # the runs spread, so the check is not 0 == 0
         # at zero spread (t = 0) the sum-of-squares form keeps ~sqrt(eps) of the scale
         np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-8)
+
+
+def test_a_run_without_a_pool_loads_no_process_pool():
+    # the pool machinery pulls in multiprocessing, logging and socket;
+    # a 1-worker run, which starts no pool, must not pay for them
+    code = (
+        "import sys\n"
+        "from entroflux.ensemble import EnsembleConfig, run_ensemble\n"
+        "from entroflux.integrate import IntegratorConfig\n"
+        "from entroflux.qubit import QubitScenario, bloch_to_density, qubit_model\n"
+        "run_ensemble(qubit_model(QubitScenario(kappa=1.0, alpha=2.0)),\n"
+        "             bloch_to_density((1.0, 0.0, 0.0)),\n"
+        "             EnsembleConfig(n_trajectories=3, integrator=IntegratorConfig(\n"
+        "                 dt=1e-3, t_final=0.01, record_stride=5)))\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(ensemble.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

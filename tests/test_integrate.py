@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -101,6 +102,10 @@ class TestWienerIncrement:
     def test_rejects_bad_dt(self):
         with pytest.raises(ValidationError, match="dt must be positive"):
             wiener_increment(np.random.default_rng(0), 0.0)
+
+    def test_rejects_nan_dt(self):
+        with pytest.raises(ValidationError, match="dt must be positive"):
+            wiener_increment(np.random.default_rng(0), float("nan"))
 
 
 class TestSuperoperators:
@@ -280,6 +285,26 @@ class TestEmStep:
                 state = em_step(spec, state, cfg, rng)
                 assert same_bits(state.rho, rec.states[k]), (seed, k)
                 assert same_bits(np.array([state.y]), rec.measurement_record[k:k + 1]), (seed, k)
+
+    def test_a_chain_of_steps_builds_each_operator_once(self, monkeypatch):
+        # each em_step builds a kernel, from operators the model built once
+        built = []
+
+        def counted(build):
+            def wrapper(a):
+                built.append(build.__name__)
+                return build(a)
+            return wrapper
+
+        for name in ("innovation_superop", "hamiltonian_superop"):
+            monkeypatch.setattr(model, name, counted(getattr(model, name)))
+        spec = d4_spec()
+        cfg = IntegratorConfig(dt=1e-3, t_final=1.0)
+        rng = np.random.default_rng(5)
+        state = TrajectoryState(t=0.0, rho=random_density(4, min_eig=0.05, seed=3))
+        for _ in range(100):
+            state = em_step(spec, state, cfg, rng)
+        assert sorted(built) == ["hamiltonian_superop", "innovation_superop"]
 
     def test_repair_tolerance_error_carries_magnitude(self):
         spec = qubit_spec(kappa=1.0)
@@ -552,6 +577,166 @@ class TestQubitStepMatchesReference:
         assert str(got.value) == str(want.value)
         assert got.value.trajectory == want.value.trajectory == min(bad_rows)
         assert got.value.magnitude == want.value.magnitude
+
+
+def frozen_project_2x2(v, tol):
+    """The 2x2 repair before the step reused its arrays: fresh arrays, no clip-free path."""
+    a = v[:, 0].real
+    d = v[:, 3].real
+    b = np.add(v[:, 1], v[:, 2].conj())
+    b *= 0.5
+    trace = a + d
+    p = 0.5 * trace
+    r = np.square(a - d)
+    r *= 0.25
+    r += b.real ** 2
+    r += b.imag ** 2
+    np.sqrt(r, out=r)
+    lam_min = p - r
+    clip = lam_min < 0.0
+    magnitude = np.where(clip, -lam_min, 0.0)
+    alive = p + r > 0.0
+    lo = lam_min.min()
+    if not (alive.all() and math.isfinite(lo) and max(-lo, 0.0) <= tol):
+        integrate._raise_first_failure(~alive | ~np.isfinite(lam_min), magnitude, tol)
+    safe = np.where(np.abs(trace) > 0.0, trace, 1.0).astype(np.complex128)
+    out = np.empty_like(v)
+    np.divide(a, safe, out=out[:, 0])
+    np.divide(b, safe, out=out[:, 1])
+    np.divide(b.conj(), safe, out=out[:, 2])
+    np.divide(d, safe, out=out[:, 3])
+    clipped = np.flatnonzero(clip)
+    if clipped.size:
+        rc = r[clipped]
+        rsafe = np.where(rc > 0.0, rc, 1.0)
+        wz = 0.5 * (a[clipped] - d[clipped])
+        off = 0.5 * b[clipped] / rsafe
+        out[clipped, 0] = 0.5 * (1.0 + wz / rsafe)
+        out[clipped, 1] = off
+        out[clipped, 2] = off.conj()
+        out[clipped, 3] = 0.5 * (1.0 - wz / rsafe)
+    return out, magnitude
+
+
+def frozen_step(kernel, v, dw, tr_meas):
+    """The EM step before it reused its arrays; only the kernel's operators are read."""
+    rows = len(v)
+    v = np.concatenate((v, v)) if rows == 1 else v
+    drift = v @ kernel.drift_t
+    if kernel.bloch_gain is not None:
+        u = -kernel.bloch_gain * (v[:, 1] + v[:, 2]).real
+        drift += u[:, None] * (v @ kernel.ham_t)
+    innov = v @ kernel.lin_t
+    innov -= tr_meas[:, None] * v
+    drift *= kernel.dt
+    drift += v
+    innov *= dw[:, None]
+    drift += innov
+    if kernel.dim == 2:
+        out, magnitude = frozen_project_2x2(drift, kernel.tol)
+    else:
+        out, magnitude = _project_batch(drift, kernel.dim, kernel.tol)
+    return out[:rows], magnitude[:rows]
+
+
+def frozen_run_em_batch(spec, rho0, cfg, rngs, record):
+    """``_run_em_batch`` before the step reused its arrays.
+
+    Returns the number of steps where some row clipped and where none did.
+    """
+    kernel = integrate._EulerMaruyamaKernel(spec, cfg)
+    rows = len(rngs)
+    block = max(1, integrate.NOISE_BUDGET_BYTES // (8 * rows))
+    v = np.tile(rho0.reshape(-1), (rows, 1))
+    noise = np.empty((min(block, cfg.n_steps), rows))
+
+    def checkpoint():
+        states = v.reshape(rows, *rho0.shape)
+        record({"states": states, "entropies": integrate.entropy_of_states(states),
+                "dw_sums": dw_acc.copy(), "rep_sums": rep_acc.copy(), "y_path": y_acc.copy()})
+
+    dw_acc, rep_acc, y_acc = np.zeros(rows), np.zeros(rows), np.zeros(rows)
+    clipping = clean = 0
+    checkpoint()
+    for step in range(1, cfg.n_steps + 1):
+        j = (step - 1) % block
+        if j == 0:
+            size = min(block, cfg.n_steps + 1 - step)
+            for b, rng in enumerate(rngs):
+                noise[:size, b] = wiener_increment(rng, cfg.dt, size=size)
+        dw = noise[j]
+        tr_meas = ((np.concatenate((v, v)) if rows == 1 else v) @ kernel.k_meas).real[:rows]
+        y_acc += tr_meas * cfg.dt
+        y_acc += dw
+        v, mags = frozen_step(kernel, v, dw, tr_meas)
+        dw_acc += dw
+        rep_acc += mags
+        clipping += bool(mags.any())
+        clean += not mags.any()
+        if step % cfg.record_stride == 0:
+            checkpoint()
+            dw_acc[:] = 0.0
+            rep_acc[:] = 0.0
+    return clipping, clean
+
+
+def same_record_bits(x, y):
+    """Equal as raw bytes: uint64 words for floats and complex values, bytes otherwise."""
+    words = np.uint64 if x.dtype.itemsize % 8 == 0 else np.uint8
+    return x.shape == y.shape and x.dtype == y.dtype and np.array_equal(
+        np.ascontiguousarray(x).view(words), np.ascontiguousarray(y).view(words))
+
+
+class TestBufferedRunMatchesFrozenRun:
+    # the step fills arrays it allocated once per batch size, and a step
+    # where no row clips skips the clip formulas; both must keep every
+    # recorded bit of the stepping loop that allocated each array anew
+
+    @pytest.mark.parametrize("case", ["zero", "constant", "bloch_x_proportional", "d4"])
+    @pytest.mark.parametrize("rows", [1, 2, 32, 256, 257, 2560])
+    def test_every_recorded_bit(self, case, rows):
+        if case == "d4":
+            psi = np.full(4, 0.5)
+            spec = d4_spec()
+            starts = [0.98 * np.outer(psi, psi) + 0.005 * np.eye(4),
+                      random_density(4, min_eig=0.05, seed=3)]
+            cfg = IntegratorConfig(dt=5e-3, t_final=0.25, record_stride=5)
+        else:
+            law = {"zero": ControlLaw(), "constant": ControlLaw(kind="constant", value=3.0),
+                   "bloch_x_proportional": ControlLaw(kind="bloch_x_proportional", gain=5.0)}
+            spec = qubit_spec(kappa=1.0, gamma=6.0, control=law[case])
+            # the x pole clips from the first step; the mixed start leaves
+            # every row unclipped until measurement purifies it
+            starts = [bloch_to_density((1, 0, 0)), bloch_to_density((0.6, 0, 0))]
+            cfg = IntegratorConfig(dt=4e-3, t_final=1.2, record_stride=5)
+        clipping = clean = 0
+        for rho0 in starts:
+            rngs = [np.random.default_rng(trajectory_seed(3, i)) for i in range(rows)]
+            want = []
+            counts = frozen_run_em_batch(spec, rho0, cfg, rngs, want.append)
+            clipping, clean = clipping + counts[0], clean + counts[1]
+            got = []
+            rngs = [np.random.default_rng(trajectory_seed(3, i)) for i in range(rows)]
+            _run_em_batch(spec, rho0, cfg, rngs, got.append)
+            assert len(got) == len(want) == len(cfg.checkpoint_times)
+            for k, (g, w) in enumerate(zip(got, want)):
+                for key in TRAJECTORY_ROWS:
+                    assert same_record_bits(g[key], w[key]), (k, key)
+        assert clipping >= 1 and clean >= 20, (clipping, clean)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_a_step_with_no_clipped_row_reports_a_zero_per_row(self, rows):
+        spec = qubit_spec(kappa=1.0, gamma=6.0)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.02, record_stride=5)
+        rho0 = bloch_to_density((0.3, 0.0, 0.0))
+        kernel = integrate._EulerMaruyamaKernel(spec, cfg)
+        v = np.tile(rho0.reshape(-1), (rows, 1))
+        _, mags = kernel.step(v, np.full(rows, 0.01), kernel.measured_mean(v))
+        assert same_record_bits(mags, np.zeros(rows))
+        kept = []
+        rngs = [np.random.default_rng(trajectory_seed(3, i)) for i in range(rows)]
+        _run_em_batch(spec, rho0, cfg, rngs, kept.append)
+        assert same_record_bits(_stack_rows(kept)["rep_sums"], np.zeros((5, rows)))
 
 
 def clipping_rows(dim, rows, rng):

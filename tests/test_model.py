@@ -95,8 +95,19 @@ class TestControl:
         with pytest.raises(ValidationError, match="unknown control law"):
             ControlLaw(kind="bang_bang")
 
+    @pytest.mark.parametrize("field", ["value", "gain"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_parameter_rejected(self, field, bad):
+        with pytest.raises(ValidationError, match=f"control {field} must be finite"):
+            ControlLaw(kind="constant", **{field: bad})
+
 
 class TestSmeIncrement:
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan")])
+    def test_rejects_bad_dt(self, dt):
+        with pytest.raises(ValidationError, match="dt must be positive"):
+            sme_increment(qubit_spec(), MIXED, dt=dt, dW=0.1)
+
     def test_fixed_point_of_all_terms(self):
         spec = qubit_spec(kappa=1.0, gamma=0.0)
         inc = sme_increment(spec, KET0, dt=0.01, dW=0.3)

@@ -76,6 +76,12 @@ class TestScenarioModel:
         with pytest.raises(ValidationError):
             QubitScenario(alpha=-0.5)
 
+    @pytest.mark.parametrize("field", ["kappa", "alpha"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_rates(self, field, bad):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            QubitScenario(**{field: bad})
+
 
 class TestThreshold:
     def test_exact_endpoints(self):
