@@ -13,7 +13,7 @@ chunk order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -85,36 +85,39 @@ class EnsembleStatistics:
     mean_total_repair: float
 
 
-# Per-chunk sums taken at every checkpoint, added up across chunks.
-_CHECKPOINT_SUMS = ("state", "state_sq", "s", "s_sq", "q", "q_sq")
+def _chunk_totals(values: np.ndarray) -> np.ndarray:
+    """Sum ``values`` per chunk of ``CHUNK_SIZE`` rows; the leading axis is the chunk.
+
+    Each chunk's total has the bits of its own ``sum(axis=0)``, which ``np.add.reduceat`` does not.
+    """
+    full = len(values) - len(values) % CHUNK_SIZE
+    totals = values[:full].reshape(-1, CHUNK_SIZE, *values.shape[1:]).sum(axis=1)
+    if full < len(values):
+        totals = np.concatenate([totals, values[full:].sum(axis=0)[None]])
+    return totals
 
 
 def _chunk_sums(payload, keep_rows: bool = False):
-    """Simulate trajectories [start, stop) as one batch; return the times and per-chunk sums.
+    """Simulate trajectories [start, stop) as one batch; return its times, chunk sums and rows.
 
     The span covers whole chunks of ``CHUNK_SIZE`` rows (the last may be
-    short), and each chunk's part holds its partial sums at every
-    checkpoint, plus its (checkpoint, row) arrays under "rows" if
-    ``keep_rows``.  A failing span returns its IntegrationError, naming
-    the first trajectory that failed at the first failing step.
+    short).  Each summed quantity is one array whose leading axis is the
+    chunk; ``rows`` holds the span's (checkpoint, row) arrays if
+    ``keep_rows``, else None.  A failing span returns its IntegrationError,
+    naming the first trajectory that failed at the first failing step.
     """
     model, rho0, integrator, master_seed, start, stop = payload
     rngs = [np.random.default_rng(trajectory_seed(master_seed, i)) for i in range(start, stop)]
-    chunks = [slice(a, a + CHUNK_SIZE) for a in range(0, stop - start, CHUNK_SIZE)]
-    parts = [{key: [] for key in _CHECKPOINT_SUMS} for _ in chunks]  # one sum per checkpoint
-    kept = []
+    sums, kept = {}, []  # sums: one list of chunk totals per quantity, one entry per checkpoint
     repair = np.zeros(stop - start)
 
     def record(rows):
-        nonlocal repair
         states, entropies = rows["states"], rows["entropies"]
         q = np.einsum("ij,bji->b", model.quantumness_operator, states).real
-        per_row = {"state": states, "state_sq": states.real ** 2 + states.imag ** 2,
-                   "s": entropies, "s_sq": entropies ** 2, "q": q, "q_sq": q ** 2}
-        for part, chunk in zip(parts, chunks):
-            for key, values in per_row.items():
-                part[key].append(values[chunk].sum(axis=0))
-        repair = repair + rows["rep_sums"]
+        for key, values in (("state", states), ("state_sq", states.real ** 2 + states.imag ** 2),
+                            ("s", entropies), ("s_sq", entropies ** 2), ("q", q), ("q_sq", q ** 2)):
+            sums.setdefault(key, []).append(_chunk_totals(values))
+        np.add(repair, rows["rep_sums"], out=repair)
         if keep_rows:
             kept.append(rows)
 
@@ -126,27 +129,18 @@ def _chunk_sums(payload, keep_rows: bool = False):
             f"trajectory {traj}: {err}",
             step=err.step, trajectory=traj, magnitude=err.magnitude,
         )
-    stacked = _stack_rows(kept) if keep_rows else None
-    for part, chunk in zip(parts, chunks):
-        for key in _CHECKPOINT_SUMS:
-            part[key] = np.array(part[key])
-        part["flagged"] = int(np.count_nonzero(repair[chunk] > REPAIR_FLAG_TOTAL))
-        part["repair_total"] = float(repair[chunk].sum())
-        if keep_rows:
-            part["rows"] = {key: stacked[key][:, chunk] for key in TRAJECTORY_ROWS}
-    return integrator.checkpoint_times, parts
+    sums = {key: np.stack(per_checkpoint, axis=1) for key, per_checkpoint in sums.items()}
+    sums["flagged"] = _chunk_totals(repair > REPAIR_FLAG_TOTAL)
+    sums["repair_total"] = _chunk_totals(repair)
+    return integrator.checkpoint_times, sums, _stack_rows(kept) if keep_rows else None
 
 
 def _se_from_sums(total, total_sq, n: int) -> np.ndarray:
     """Standard error of a mean from sum and sum of squares."""
-    total = np.asarray(total)
     if n < 2:
         return np.zeros(total.shape)
     var = np.maximum(total_sq - np.abs(total) ** 2 / n, 0.0) / (n - 1)
     return np.sqrt(var / n)
-
-
-_SUMMED = _CHECKPOINT_SUMS + ("flagged", "repair_total")
 
 
 def _reduce(outcomes, trajectory_sink) -> dict:
@@ -156,22 +150,24 @@ def _reduce(outcomes, trajectory_sink) -> dict:
     is raised, whatever the span layout; no chunk after the first failed
     span is reduced or sunk.
     """
-    totals, errors, start = None, [], 0
+    totals, errors, start = {}, [], 0
     for outcome in outcomes:
         if isinstance(outcome, IntegrationError):
             errors.append(outcome)
         if errors:
             continue
-        times, parts = outcome
-        for part in parts:
-            if trajectory_sink is not None:
-                trajectory_sink(start, times, part.pop("rows"))
-            start += CHUNK_SIZE
-            if totals is None:
-                totals = dict(part, times=times)
-            else:
-                for key in _SUMMED:
-                    totals[key] += part[key]
+        times, sums, rows = outcome
+        span = len(sums["flagged"]) * CHUNK_SIZE
+        if trajectory_sink is not None:
+            for a in range(0, span, CHUNK_SIZE):
+                trajectory_sink(start + a, times,
+                                {key: rows[key][:, a:a + CHUNK_SIZE] for key in TRAJECTORY_ROWS})
+        start += span
+        # one chunk at a time, in chunk order: np.sum over the chunk axis sums pairwise
+        for key, per_chunk in sums.items():
+            totals[key] = (reduce(np.add, per_chunk, totals[key]) if key in totals
+                           else reduce(np.add, per_chunk))
+        totals["times"] = times
     if errors:
         raise min(errors, key=lambda err: (err.step, err.trajectory))
     return totals
@@ -254,8 +250,8 @@ def run_ensemble(model: ModelSpec, rho0, cfg: EnsembleConfig,
         quantumness_se=_se_from_sums(totals["q"], totals["q_sq"], n),
         state_se=_se_from_sums(totals["state"], totals["state_sq"], n),
         n_trajectories=n,
-        flagged_trajectories=totals["flagged"],
-        mean_total_repair=totals["repair_total"] / n,
+        flagged_trajectories=int(totals["flagged"]),
+        mean_total_repair=float(totals["repair_total"]) / n,
     )
 
 

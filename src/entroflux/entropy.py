@@ -183,16 +183,11 @@ def entropy_rate_estimate(stats: "EnsembleStatistics") -> tuple[np.ndarray, np.n
     se = np.asarray(stats.entropy_se, dtype=float)
     n = len(t)
     check_bound_checkpoints(n)
-    rate = np.empty(n)
-    rate_se = np.empty(n)
-    rate[0] = (s[1] - s[0]) / (t[1] - t[0])
-    rate_se[0] = np.hypot(se[1], se[0]) / (t[1] - t[0])
-    rate[-1] = (s[-1] - s[-2]) / (t[-1] - t[-2])
-    rate_se[-1] = np.hypot(se[-1], se[-2]) / (t[-1] - t[-2])
-    span = t[2:] - t[:-2]
-    rate[1:-1] = (s[2:] - s[:-2]) / span
-    rate_se[1:-1] = np.hypot(se[2:], se[:-2]) / span
-    return rate, rate_se
+    # each checkpoint's difference runs from checkpoint lo to hi
+    lo = np.maximum(np.arange(n) - 1, 0)
+    hi = np.minimum(np.arange(n) + 1, n - 1)
+    span = t[hi] - t[lo]
+    return (s[hi] - s[lo]) / span, np.hypot(se[hi], se[lo]) / span
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,7 @@ class IntegratorConfig:
 
     ``record_stride`` controls how many steps separate recorded
     checkpoints; step 0 is always recorded.  The range checks reject NaN.
+    ``floor`` is validated but has no effect on any run.
     """
 
     dt: float = 1e-3
@@ -238,11 +239,11 @@ def _project_batch(v: np.ndarray, dim: int, tol: float,
         np.divide(out2, w.safe, out=out2)
         np.divide(d, w.safe, out=out3)
         if magnitude is not w.zeros:
+            # a clipped row that is alive has r > |p| >= 0
             rc = r[clipped]
-            rsafe = np.where(rc > 0.0, rc, 1.0)
             wz = 0.5 * (a[clipped] - d[clipped])
-            wz /= rsafe
-            off = 0.5 * b[clipped] / rsafe
+            wz /= rc
+            off = 0.5 * b[clipped] / rc
             out0[clipped] = 0.5 * (1.0 + wz)
             out1[clipped] = off
             out2[clipped] = off.conj()

@@ -435,9 +435,9 @@ class TestCsvFormatting:
     def test_invalid_state_from_a_run_exits_three(self, tmp_path, capsys, monkeypatch):
         # a state the run produced is an integration failure, not a config error
         def corrupt_chunk_sums(payload, keep_rows=False):
-            times, parts = _CHUNK_SUMS(payload, keep_rows=keep_rows)
-            parts[0]["rows"]["states"][1, 2] *= 1.1
-            return times, parts
+            times, sums, rows = _CHUNK_SUMS(payload, keep_rows=keep_rows)
+            rows["states"][1, 2] *= 1.1
+            return times, sums, rows
 
         monkeypatch.setattr(ensemble, "_chunk_sums", corrupt_chunk_sums)
         cfg = write_config(tmp_path / "c.json", emit=["trajectories"])

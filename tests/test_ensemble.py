@@ -110,6 +110,51 @@ def test_trajectory_sink_gets_every_chunk_in_order():
         np.testing.assert_array_equal(times, plain.times)
 
 
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 600, 4096, 4100])
+def test_chunk_totals_are_the_per_chunk_slice_sums_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    states = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    for values in (rng.normal(size=n), rng.random(n) < 0.5, states,
+                   states.real ** 2 + states.imag ** 2, states[:, 0, 0].real):
+        got = ensemble._chunk_totals(values)
+        want = np.array([values[a:a + CHUNK_SIZE].sum(axis=0) for a in range(0, n, CHUNK_SIZE)])
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_statistics_and_sink_rows_are_the_same_bytes_on_any_worker_count():
+    # 4100 rows: 16 full chunks and a 4-row one, cut into 2 spans on 1 or
+    # 2 workers and into 3 on 3
+    model = qubit_model(QubitScenario(kappa=1.0, alpha=6.0))
+    tiny = IntegratorConfig(dt=1e-3, t_final=0.02, record_stride=10)
+    runs = []
+    for workers in (1, 2, 3):
+        calls = []
+        stats = run_ensemble(model, PLUS, EnsembleConfig(
+            n_trajectories=4100, master_seed=2, worker_count=workers, integrator=tiny),
+            trajectory_sink=lambda *args: calls.append(args))
+        runs.append((stats, calls))
+    (first, first_calls), later = runs[0], runs[1:]
+    assert type(first.flagged_trajectories) is int and type(first.mean_total_repair) is float
+    assert [start for start, _, _ in first_calls] == list(range(0, 4100, CHUNK_SIZE))
+    for stats, calls in later:
+        for name in EnsembleStatistics.__dataclass_fields__:
+            got, want = getattr(stats, name), getattr(first, name)
+            assert type(got) is type(want)
+            if isinstance(want, np.ndarray):
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                                 want.tobytes())
+            else:
+                assert got == want
+        assert len(calls) == len(first_calls)
+        for (start, times, rows), (want_start, want_times, want_rows) in zip(calls, first_calls):
+            assert start == want_start and times.tobytes() == want_times.tobytes()
+            assert tuple(rows) == tuple(want_rows) == TRAJECTORY_ROWS
+            for key in TRAJECTORY_ROWS:
+                assert rows[key].shape == want_rows[key].shape
+                assert rows[key].tobytes() == want_rows[key].tobytes()
+
+
 def test_mean_state_is_valid_and_unit_trace():
     model = qubit_model(QubitScenario(kappa=1.0, alpha=0.0))
     stats = run_ensemble(model, PLUS, EnsembleConfig(
