@@ -110,8 +110,12 @@ def _load(args) -> RunConfig:
     return replace(cfg, ensemble=ensemble, output_path=out)
 
 
-def _ensure_outdir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
+def _make_outdir(path: str) -> None:
+    """Create the output directory; a path that cannot be one is a config error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {path}: {err.strerror}") from None
 
 
 def _write_ensemble_csv(cfg: RunConfig, stats) -> str:
@@ -154,34 +158,28 @@ def _check_bound_inputs(cfg: RunConfig) -> None:
     check_bound_checkpoints(len(cfg.ensemble.integrator.checkpoint_times))
 
 
-def cmd_simulate(args) -> int:
+def cmd_run(args, verify: bool = False) -> int:
+    """``simulate``, or ``verify-bound`` if ``verify``: run the ensemble and write its outputs.
+
+    ``simulate`` writes what the config's ``emit`` names; ``verify-bound``
+    writes the bound report alone and exits EXIT_VIOLATION on a violation.
+    """
     cfg = _load(args)
-    if "bound_report" in cfg.emit:
+    emit = ("bound_report",) if verify else cfg.emit
+    if "bound_report" in emit:
         _check_bound_inputs(cfg)
-    _ensure_outdir(cfg.output_path)
-    sink = partial(_write_trajectory_csvs, cfg) if "trajectories" in cfg.emit else None
+    _make_outdir(cfg.output_path)
+    sink = partial(_write_trajectory_csvs, cfg) if "trajectories" in emit else None
     stats = run_ensemble(cfg.model, cfg.initial_state, cfg.ensemble, trajectory_sink=sink)
-    if "ensemble" in cfg.emit:
+    if "ensemble" in emit:
         print(_write_ensemble_csv(cfg, stats))
-    if "bound_report" in cfg.emit:
+    if "bound_report" in emit:
         report = build_bound_report(cfg.model, stats)
         print(_write_bound_csv(cfg, report))
-    return EXIT_OK
-
-
-def cmd_verify_bound(args) -> int:
-    cfg = _load(args)
-    _check_bound_inputs(cfg)
-    _ensure_outdir(cfg.output_path)
-    stats = run_ensemble(cfg.model, cfg.initial_state, cfg.ensemble)
-    report = build_bound_report(cfg.model, stats)
-    print(_write_bound_csv(cfg, report))
-    if report.has_violation:
-        print(
-            f"bound violated at {int(np.sum(report.violation_flag))} of "
-            f"{len(report.times)} checkpoints", file=sys.stderr,
-        )
-        return EXIT_VIOLATION
+        if verify and report.has_violation:
+            print(f"bound violated at {int(np.sum(report.violation_flag))} of "
+                  f"{len(report.times)} checkpoints", file=sys.stderr)
+            return EXIT_VIOLATION
     return EXIT_OK
 
 
@@ -196,7 +194,7 @@ def cmd_sweep_alpha(args) -> int:
             "sweep-alpha evaluates the mean path in closed form for zero control "
             f"only; scenario.control has kind {cfg.scenario.control.kind!r}"
         )
-    _ensure_outdir(cfg.output_path)
+    _make_outdir(cfg.output_path)
     b0 = density_to_bloch(cfg.initial_state)
     times = cfg.ensemble.integrator.checkpoint_times.tolist()
     rows = []
@@ -251,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 COMMANDS = {
-    "simulate": cmd_simulate,
-    "verify-bound": cmd_verify_bound,
+    "simulate": cmd_run,
+    "verify-bound": partial(cmd_run, verify=True),
     "sweep-alpha": cmd_sweep_alpha,
     "selftest": cmd_selftest,
 }

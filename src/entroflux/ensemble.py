@@ -60,6 +60,8 @@ class EnsembleConfig:
     def __post_init__(self):
         if not self.n_trajectories >= 1:
             raise ValidationError("n_trajectories must be >= 1")
+        if not self.master_seed >= 0:
+            raise ValidationError("master_seed must be >= 0")
         if not self.worker_count >= 1:
             raise ValidationError("worker_count must be >= 1")
 
@@ -227,14 +229,16 @@ def run_ensemble(model: ModelSpec, rho0, cfg: EnsembleConfig,
                 for start, stop in _spans(n, cfg.worker_count)]
     # looked up per call, so a wrapped module-level ``_chunk_sums`` is used
     work = partial(_chunk_sums, keep_rows=trajectory_sink is not None)
-    if cfg.worker_count == 1 or len(payloads) == 1:
+    # a pool starts all its processes at once, so it gets at most one per span
+    workers = min(cfg.worker_count, len(payloads))
+    if workers == 1:
         totals = _reduce(_span_outcomes(map(work, payloads), payloads), trajectory_sink)
     else:
         # imported here, so a run that starts no pool loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=cfg.worker_count) as executor:
+        with ProcessPoolExecutor(max_workers=workers) as executor:
             outcomes = _span_outcomes(executor.map(work, payloads), payloads,
                                       lost=(BrokenProcessPool, MemoryError))
             totals = _reduce(outcomes, trajectory_sink)

@@ -280,18 +280,18 @@ def project_to_physical(m, tol: float = np.inf) -> tuple[np.ndarray, float]:
 # --- Euler-Maruyama kernel -------------------------------------------------
 
 class _EulerMaruyamaKernel:
-    """Precomputed one-step map for a model and step size.
+    """Precomputed one-step map for a model, a step size and a batch size.
 
     Constant control inputs are folded into the drift superoperator at
     build time; the state-proportional law is evaluated per step.  A
     lone row is multiplied as two identical rows: numpy sends a single
     row through another BLAS path than a batch, which for d > 2 changes
-    the last bits.  The step's arrays are allocated once per batch size
-    and reused, so the arrays ``measured_mean`` and ``step`` return are
-    overwritten by the next call.
+    the last bits.  The step's arrays are allocated once, for ``rows``
+    rows, and reused, so the arrays ``step`` returns are overwritten by
+    its next call.
     """
 
-    def __init__(self, model: ModelSpec, cfg: IntegratorConfig):
+    def __init__(self, model: ModelSpec, cfg: IntegratorConfig, rows: int):
         self.dim = model.dim
         self.dt = cfg.dt
         self.tol = cfg.repair_tolerance
@@ -304,37 +304,23 @@ class _EulerMaruyamaKernel:
         self.drift_t = model.generator(law.value if law.kind == "constant" else 0.0).T.copy()
         self.lin_t = model.measurement_superop.T.copy()
         self.k_meas = (l + dagger(l)).T.reshape(-1).copy()
-        self.rows = 0
+        self.work = _Workspace(max(rows, 2), self.dim)
+        self.tr_meas = self.work.mean.real[:rows]
 
-    def _batch(self, v: np.ndarray) -> np.ndarray:
-        """``v`` as the rows the products take, in the workspace of its batch size."""
-        rows = len(v)
-        if rows != self.rows:
-            self.rows = rows
-            self.work = w = _Workspace(max(rows, 2), self.dim)
-            self.mean_rows, self.no_clip = w.mean.real[:rows], w.zeros[:rows]
-        if rows == 1:
-            self.work.state[:] = v
-            return self.work.state
-        return v
+    def step(self, v: np.ndarray, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Advance a (rows, d*d) state array by one repaired EM step.
 
-    def measured_mean(self, v: np.ndarray) -> np.ndarray:
-        """Tr[(L + L^dag) rho] per row."""
-        np.matmul(self._batch(v), self.k_meas, out=self.work.mean)
-        return self.mean_rows
-
-    def step(self, v: np.ndarray, dw: np.ndarray,
-             tr_meas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Advance a (batch, d*d) state array by one repaired EM step.
-
-        ``tr_meas`` is ``measured_mean(v)``, which the caller needs too.
-        A step where no row clips returns ``no_clip``, zeros of the
-        kernel's own, as the clipped mass.
+        Returns the next states, Tr[(L + L^dag) rho] of the given states
+        (the measured mean, which drives both the innovation and the
+        measurement record) and the clipped mass, each per row.
         """
         rows = len(v)
-        v = self._batch(v)
         w = self.work
+        if rows == 1:
+            w.state[:] = v
+            v = w.state
         drift, innov, prod = w.drift, w.innov, w.prod
+        np.matmul(v, self.k_meas, out=w.mean)
         np.matmul(v, self.drift_t, out=drift)
         if self.bloch_gain is not None:
             u = -self.bloch_gain * (v[:, 1] + v[:, 2]).real
@@ -342,7 +328,7 @@ class _EulerMaruyamaKernel:
             np.multiply(u[:, None], prod, out=prod)
             drift += prod
         np.matmul(v, self.lin_t, out=innov)
-        np.multiply(tr_meas[:, None], v, out=prod)
+        np.multiply(self.tr_meas[:, None], v, out=prod)
         innov -= prod
         # v + drift * dt + innov * dw, in that order
         drift *= self.dt
@@ -350,9 +336,7 @@ class _EulerMaruyamaKernel:
         innov *= dw[:, None]
         drift += innov
         out, magnitude = _project_batch(drift, self.dim, self.tol, w)
-        if magnitude is w.zeros:
-            return out[:rows], self.no_clip
-        return out[:rows], magnitude[:rows]
+        return out[:rows], self.tr_meas, magnitude[:rows]
 
 
 def em_step(
@@ -373,13 +357,11 @@ def em_step(
             raise ValidationError("either rng or a forced dW is required")
         dW = wiener_increment(rng, cfg.dt)
     rho = validate_density(state.rho)
-    kernel = _EulerMaruyamaKernel(model, cfg)
-    v = rho.reshape(1, -1)
-    tr_meas = kernel.measured_mean(v)
-    v_new, _ = kernel.step(v, np.array([dW]), tr_meas)
+    kernel = _EulerMaruyamaKernel(model, cfg, 1)
+    v, tr_meas, _ = kernel.step(rho.reshape(1, -1), np.array([dW]))
     return TrajectoryState(
         t=state.t + cfg.dt,
-        rho=v_new.reshape(rho.shape),
+        rho=v.reshape(rho.shape),
         W=state.W + dW,
         y=state.y + float(tr_meas[0]) * cfg.dt + dW,
     )
@@ -415,8 +397,8 @@ def _run_em_batch(
     ``record(rows)`` gets a dict mapping each name in ``TRAJECTORY_ROWS``
     to that checkpoint's per-row array.
     """
-    kernel = _EulerMaruyamaKernel(model, cfg)
     rows = len(rngs)
+    kernel = _EulerMaruyamaKernel(model, cfg, rows)
     n_steps = cfg.n_steps
     stride = cfg.record_stride
     block = max(1, NOISE_BUDGET_BYTES // (8 * rows))
@@ -443,21 +425,19 @@ def _run_em_batch(
             for b, rng in enumerate(rngs):
                 noise[:size, b] = wiener_increment(rng, cfg.dt, size=size)
         dw = noise[j]
-        tr_meas = kernel.measured_mean(v)
-        np.multiply(tr_meas, cfg.dt, out=y_step)
-        y_acc += y_step
-        y_acc += dw
         try:
-            v, mags = kernel.step(v, dw, tr_meas)
+            v, tr_meas, mags = kernel.step(v, dw)
         except IntegrationError as err:
             raise IntegrationError(
                 f"step {step} (t={step * cfg.dt:.6g}): {err}", step=step,
                 trajectory=err.trajectory, magnitude=err.magnitude,
             ) from None
+        np.multiply(tr_meas, cfg.dt, out=y_step)
+        y_acc += y_step
+        y_acc += dw
         dw_acc += dw
-        # adding no_clip's +0.0 to the nonnegative sums would change no bit
-        if mags is not kernel.no_clip:
-            rep_acc += mags
+        # a row that does not clip adds +0.0, which changes no bit of the nonnegative sums
+        rep_acc += mags
         if step % stride == 0:
             checkpoint()
             dw_acc[:] = 0.0

@@ -636,6 +636,17 @@ class TestSweepAlphaCommand:
         cfg = write_config(tmp_path / "c.json")
         assert main(["sweep-alpha", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("where", ["onto", "under"])
+    def test_unusable_output_path_exits_two(self, tmp_path, capsys, where):
+        cfg = write_config(tmp_path / "c.json", sweep={"alphas": [6.0]})
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker if where == "onto" else blocker / "run"
+        assert main(["sweep-alpha", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {out}: ")
+        assert "Traceback" not in err
+
 
 class TestSelftestCommand:
     def test_passes_clean(self):
@@ -753,6 +764,39 @@ class TestRulesCheckedBeforeTheRun:
         assert main(["simulate", "--config", cfg, "--workers", "0",
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "config error: worker_count must be >= 1\n"
+
+    def test_negative_seed_in_the_config_exits_two(self, tmp_path, capsys, no_run):
+        path = tmp_path / "c.json"
+        write_config(path)
+        raw = json.loads(path.read_text())
+        raw["ensemble"]["master_seed"] = -3
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="master_seed must be >= 0"):
+            load_config(str(path))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: master_seed must be >= 0\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "verify-bound"])
+    def test_negative_seed_option_exits_two(self, tmp_path, capsys, no_run, command):
+        cfg = write_config(tmp_path / "c.json")
+        assert main([command, "--config", cfg, "--seed", "-1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: master_seed must be >= 0\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "verify-bound"])
+    @pytest.mark.parametrize("where", ["onto", "under"])
+    def test_unusable_output_path_exits_two(self, tmp_path, capsys, no_run, command, where):
+        cfg = write_config(tmp_path / "c.json")
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker if where == "onto" else blocker / "run"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {out}: ")
+        assert "Traceback" not in err
+        assert blocker.read_text() == ""
 
 
 def _readme_config() -> str:

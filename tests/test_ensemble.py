@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -246,6 +247,33 @@ def test_config_validation():
         EnsembleConfig(n_trajectories=0)
     with pytest.raises(ValidationError, match="worker_count"):
         EnsembleConfig(n_trajectories=1, worker_count=0)
+    with pytest.raises(ValidationError, match="master_seed must be >= 0"):
+        EnsembleConfig(n_trajectories=1, master_seed=-1)
+
+
+def test_the_pool_starts_no_more_processes_than_spans(monkeypatch):
+    # a pool starts all its processes at the first submit, so a worker
+    # count above the span count would fork processes that never get work
+    real = concurrent.futures.ProcessPoolExecutor
+    started = []
+
+    def recording(max_workers):
+        started.append(max_workers)
+        return real(max_workers=min(max_workers, 2))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    model = qubit_model(QubitScenario(kappa=1.0, alpha=6.0))
+    common = dict(n_trajectories=300, master_seed=5, integrator=SHORT)
+    assert len(_spans(300, 4)) == 2
+    pooled = run_ensemble(model, PLUS, EnsembleConfig(worker_count=4, **common))
+    assert started == [2]
+    serial = run_ensemble(model, PLUS, EnsembleConfig(worker_count=1, **common))
+    assert started == [2]
+    for field in STATISTICS:
+        assert np.array_equal(getattr(serial, field).view(np.uint64),
+                              getattr(pooled, field).view(np.uint64)), field
+    assert serial.flagged_trajectories == pooled.flagged_trajectories
+    assert serial.mean_total_repair == pooled.mean_total_repair
 
 
 @pytest.mark.parametrize("dim", [2, 4])

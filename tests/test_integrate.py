@@ -139,8 +139,8 @@ class TestSuperoperators:
         monkeypatch.setattr(model, "dissipator_superop", counted)
         spec = d4_spec()
         cfg = IntegratorConfig(dt=1e-3, t_final=0.01, record_stride=5)
-        integrate._EulerMaruyamaKernel(spec, cfg)
-        integrate._EulerMaruyamaKernel(spec, cfg)
+        integrate._EulerMaruyamaKernel(spec, cfg, 1)
+        integrate._EulerMaruyamaKernel(spec, cfg, 256)
         integrate_master_equation(spec, random_density(4, seed=1), cfg, u_fixed=0.5)
         assert len(calls) == 2
 
@@ -515,14 +515,18 @@ def reference_project_general(v, dim, tol):
 
 
 def reference_step(kernel, v, dw):
-    """The EM step as first written, with a fresh array for every term."""
-    tr_meas = kernel.measured_mean(v)
+    """The EM step as first written, with a fresh array for every term.
+
+    Returns the states, the clipped mass and the measured mean, per row.
+    """
+    tr_meas = (v @ kernel.k_meas).real
     drift = v @ kernel.drift_t
     if kernel.bloch_gain is not None:
         u = -kernel.bloch_gain * (v[:, 1] + v[:, 2]).real
         drift = drift + u[:, None] * (v @ kernel.ham_t)
     innov = v @ kernel.lin_t - tr_meas[:, None] * v
-    return reference_project_2x2(v + drift * kernel.dt + innov * dw[:, None], kernel.tol)
+    return (*reference_project_2x2(v + drift * kernel.dt + innov * dw[:, None], kernel.tol),
+            tr_meas)
 
 
 def same_bits(x, y):
@@ -540,7 +544,8 @@ class TestQubitStepMatchesReference:
     @pytest.mark.parametrize("batch", [2, 257, 2560])
     def test_states_and_clipped_mass_bit_for_bit(self, control, batch):
         spec = qubit_spec(kappa=1.0, gamma=6.0, control=control)
-        kernel = integrate._EulerMaruyamaKernel(spec, IntegratorConfig(dt=1e-3, t_final=0.3))
+        kernel = integrate._EulerMaruyamaKernel(spec, IntegratorConfig(dt=1e-3, t_final=0.3),
+                                                batch)
         rng = np.random.default_rng(batch)
         # even rows start on the x pole, where zero control keeps every
         # imaginary part an exact +-0; odd rows start near random pure states
@@ -552,9 +557,10 @@ class TestQubitStepMatchesReference:
         noise = rng.normal(0.0, np.sqrt(1e-3), (300, batch))
         clipped = 0
         for dw in noise:
-            want, want_mags = reference_step(kernel, v, dw)
-            v, mags = kernel.step(v, dw, kernel.measured_mean(v))
+            want, want_mags, want_tr = reference_step(kernel, v, dw)
+            v, tr_meas, mags = kernel.step(v, dw)
             assert same_bits(v, want)
+            assert same_bits(tr_meas, want_tr)
             assert same_bits(mags, want_mags)
             clipped += int(np.count_nonzero(mags))
         assert 0 < clipped < 300 * batch
@@ -644,8 +650,8 @@ def frozen_run_em_batch(spec, rho0, cfg, rngs, record):
 
     Returns the number of steps where some row clipped and where none did.
     """
-    kernel = integrate._EulerMaruyamaKernel(spec, cfg)
     rows = len(rngs)
+    kernel = integrate._EulerMaruyamaKernel(spec, cfg, rows)
     block = max(1, integrate.NOISE_BUDGET_BYTES // (8 * rows))
     v = np.tile(rho0.reshape(-1), (rows, 1))
     noise = np.empty((min(block, cfg.n_steps), rows))
@@ -729,9 +735,9 @@ class TestBufferedRunMatchesFrozenRun:
         spec = qubit_spec(kappa=1.0, gamma=6.0)
         cfg = IntegratorConfig(dt=1e-3, t_final=0.02, record_stride=5)
         rho0 = bloch_to_density((0.3, 0.0, 0.0))
-        kernel = integrate._EulerMaruyamaKernel(spec, cfg)
+        kernel = integrate._EulerMaruyamaKernel(spec, cfg, rows)
         v = np.tile(rho0.reshape(-1), (rows, 1))
-        _, mags = kernel.step(v, np.full(rows, 0.01), kernel.measured_mean(v))
+        _, _, mags = kernel.step(v, np.full(rows, 0.01))
         assert same_record_bits(mags, np.zeros(rows))
         kept = []
         rngs = [np.random.default_rng(trajectory_seed(3, i)) for i in range(rows)]
