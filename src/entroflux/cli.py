@@ -100,11 +100,12 @@ def _default_workers() -> int:
 
 
 def _load(args) -> RunConfig:
-    cfg = load_config(args.config, default_workers=_default_workers())
+    runs = hasattr(args, "workers")  # sweep-alpha runs no ensemble: no seed, no worker count
+    cfg = load_config(args.config, default_workers=_default_workers() if runs else 1)
     ensemble = cfg.ensemble
-    if args.seed is not None:
+    if runs and args.seed is not None:
         ensemble = replace(ensemble, master_seed=args.seed)
-    if args.workers is not None:
+    if runs and args.workers is not None:
         ensemble = replace(ensemble, worker_count=args.workers)
     out = args.out if args.out is not None else cfg.output_path
     return replace(cfg, ensemble=ensemble, output_path=out)
@@ -235,15 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for name, text in (("simulate", "run a trajectory ensemble"),
+                       ("verify-bound", "check the entropy-rate bound"),
+                       ("sweep-alpha", "threshold sweep over decoherence ratios")):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="path to a JSON run config")
-        p.add_argument("--seed", type=int, default=None, help="override master seed")
-        p.add_argument("--workers", type=int, default=None, help="override worker count")
+        if name != "sweep-alpha":
+            p.add_argument("--seed", type=int, default=None, help="override master seed")
+            p.add_argument("--workers", type=int, default=None, help="override worker count")
         p.add_argument("--out", default=None, help="override output directory")
-
-    add_common(sub.add_parser("simulate", help="run a trajectory ensemble"))
-    add_common(sub.add_parser("verify-bound", help="check the entropy-rate bound"))
-    add_common(sub.add_parser("sweep-alpha", help="threshold sweep over decoherence ratios"))
     sub.add_parser("selftest", help="run the built-in property suites")
     return parser
 

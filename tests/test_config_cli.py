@@ -632,6 +632,24 @@ class TestSweepAlphaCommand:
         assert "scenario.control" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("option", [["--workers", "7"], ["--seed", "-1"]])
+    def test_takes_no_run_options(self, tmp_path, capsys, option):
+        # sweep-alpha runs no ensemble, so a seed or worker count is a usage error
+        cfg = write_config(tmp_path / "c.json", sweep={"alphas": [6.0]})
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exited:
+            main(["sweep-alpha", "--config", cfg, *option, "--out", str(out)])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    def test_ignores_the_worker_count_default(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ENTROFLUX_WORKERS", "many")
+        cfg = write_config(tmp_path / "c.json", sweep={"alphas": [6.0]})
+        out = tmp_path / "run"
+        assert main(["sweep-alpha", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "sweep.csv").exists()
+
     def test_requires_sweep_section(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
         assert main(["sweep-alpha", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -725,6 +743,88 @@ class TestNonFiniteNumbers:
             EnsembleConfig(n_trajectories=float("nan"))
         with pytest.raises(ValidationError, match="worker_count"):
             EnsembleConfig(n_trajectories=1, worker_count=float("nan"))
+
+
+def _explicit_scenario(**changes):
+    scenario = {"kind": "explicit", "dim": 2,
+                "hamiltonian": [[[0, 0], [0, -1]], [[0, 1], [0, 0]]],
+                "probe": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+                "decoherence": [[[0, 0], [0, 0]], [[1, 0], [0, 0]]]}
+    return {**scenario, **changes}
+
+
+def _config_with(path, leaf, value):
+    """A valid config file, except that the value at ``leaf`` is ``value``."""
+    write_config(path, sweep={"alphas": [6.0]})
+    raw = json.loads(path.read_text())
+    if leaf.startswith("scenario.hamiltonian"):
+        raw["scenario"] = _explicit_scenario()
+    *keys, last = {
+        "scenario.hamiltonian[0][0]": ["scenario", "hamiltonian", 0, 0, 1],  # the im part
+        "initial_state.bloch[0]": ["initial_state", "bloch", 0],
+        "sweep.alphas[0]": ["sweep", "alphas", 0],
+    }.get(leaf, leaf.split("."))
+    node = raw
+    for key in keys:
+        node = node[key]
+    node[last] = value
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+class TestNumberRule:
+    # one rule for every numeric leaf: an int or float, not a bool, and finite
+    @pytest.mark.parametrize("value", [True, "1", float("nan"), float("inf")],
+                             ids=["bool", "string", "nan", "infinity"])
+    @pytest.mark.parametrize("leaf", [
+        "ensemble.integrator.dt", "scenario.kappa", "initial_state.bloch[0]",
+        "scenario.hamiltonian[0][0]", "sweep.alphas[0]",
+    ])
+    def test_exits_two_naming_the_leaf(self, tmp_path, capsys, leaf, value):
+        path = _config_with(tmp_path / "c.json", leaf, value)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and leaf in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_an_int_beyond_float_range_is_not_finite(self, tmp_path):
+        path = _config_with(tmp_path / "c.json", "scenario.kappa", 10 ** 400)
+        with pytest.raises(ConfigError, match="scenario.kappa must be a finite number"):
+            load_config(path)
+
+
+class TestOneErrorType:
+    @pytest.mark.parametrize("leaf, value", [
+        ("scenario.kappa", -1),
+        ("scenario.alpha", -1),
+        ("ensemble.integrator.dt", 0),
+        ("scenario.hamiltonian", [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]),
+        ("ensemble.master_seed", -1),
+    ])
+    def test_load_config_raises_exactly_config_error(self, tmp_path, leaf, value):
+        # a dataclass range check raises ValidationError; load_config reports it
+        with pytest.raises(ConfigError) as err:
+            load_config(_config_with(tmp_path / "c.json", leaf, value))
+        assert type(err.value) is ConfigError
+
+    def test_a_file_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"output_path": "\xff"}')
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config {path} is not valid JSON: ")
+
+    @pytest.mark.parametrize("overrides", [
+        {"initial_state": {"matrix": [[[1 / 3, 0]] * 3] * 3}},
+        {"scenario": _explicit_scenario(dim=4, **dict.fromkeys(
+            ("hamiltonian", "probe", "decoherence"), [[[0, 0]] * 4] * 4)),
+         "initial_state": {"bloch": [0, 0, 1]}},
+    ], ids=["matrix-on-a-qubit", "bloch-at-d4"])
+    def test_initial_state_of_another_dimension(self, tmp_path, overrides):
+        path = write_config(tmp_path / "c.json", **overrides)
+        with pytest.raises(ConfigError, match="initial_state has dimension"):
+            load_config(path)
 
 
 class TestRulesCheckedBeforeTheRun:
