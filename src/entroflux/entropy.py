@@ -24,6 +24,7 @@ from .linalg import (
     inverse_density,
     log_density,
     require_hermitian,
+    validate_densities,
     validate_density,
 )
 from .model import ModelSpec, dissipator, innovation
@@ -55,18 +56,31 @@ def von_neumann_entropy(rho) -> float:
     return float(entropy_from_eigenvalues(w))
 
 
-def observable_variance(probe, rho) -> float:
-    """Tr(L^2 rho) - Tr(L rho)^2 for a Hermitian probe L."""
+# The one message for a non-Hermitian probe: the rate bound holds only for L = L^dag.
+PROBE_MESSAGE = ("the rate bound requires a Hermitian probe (max asymmetry {:.3e}): "
+                 "it is only valid for self-adjoint measured couplings")
+
+
+def bound_inputs(probe, states) -> tuple[np.ndarray, np.ndarray]:
+    """Check the bound's probe (Hermitian, else PROBE_MESSAGE) and state or (..., d, d) stack."""
     l = as_operator(probe, "probe")
-    require_hermitian(
-        l, "observable variance requires a Hermitian probe (max asymmetry {:.3e}); "
-        "non-Hermitian probes are outside the validity domain of the rate bound"
-    )
-    r = validate_density(rho)
-    check_same_dim(l, r)
-    mean = np.trace(l @ r).real
-    second = np.trace(l @ l @ r).real
+    require_hermitian(l, PROBE_MESSAGE)
+    r = np.asarray(states, dtype=np.complex128)
+    if r.shape[-2:] != l.shape:
+        raise ValidationError(f"dimension mismatch: {l.shape} vs {r.shape}")
+    validate_densities(r)
+    return l, r
+
+
+def _variance(l: np.ndarray, r: np.ndarray):
+    mean = np.trace(l @ r, axis1=-2, axis2=-1).real
+    second = np.trace(l @ l @ r, axis1=-2, axis2=-1).real
     return second - mean * mean
+
+
+def observable_variance(probe, rho):
+    """Tr(L^2 rho) - Tr(L rho)^2 for a Hermitian probe L, per state of a (..., d, d) stack."""
+    return _variance(*bound_inputs(probe, rho))
 
 
 def quantumness(decoherence, rho) -> float:
@@ -108,8 +122,7 @@ def dissipator_entropy_gap(a, rho, floor: float = EIG_FLOOR) -> float:
     check_same_dim(a, r)
     log_rho = _floored_log(r, floor)
     production = -np.trace(dissipator(a, r) @ log_rho).real
-    comm_bound = np.trace((dagger(a) @ a - a @ dagger(a)) @ r).real
-    return float(production - comm_bound)
+    return float(production - quantumness(a, r))
 
 
 def ito_correction_terms(probe, rho, floor: float = EIG_FLOOR) -> tuple[float, float]:
@@ -118,24 +131,21 @@ def ito_correction_terms(probe, rho, floor: float = EIG_FLOOR) -> tuple[float, f
     Returns (Tr[rho^-1 (H[L] rho)^2], 4 Var[L]).  The two coincide when
     [L, rho] = 0; in general the first dominates the second.
     """
-    l = as_operator(probe, "probe")
-    require_hermitian(l, "Hermitian probe required (max asymmetry {:.3e})")
-    r = validate_density(rho)
-    check_same_dim(l, r)
+    l, r = bound_inputs(probe, rho)
     b = innovation(l, r)
     quad = np.trace(inverse_density(r, floor) @ b @ b).real
-    return float(quad), 4.0 * observable_variance(l, r)
+    return float(quad), 4.0 * _variance(l, r)
 
 
-def entropy_rate_bound(model: ModelSpec, mean_state) -> float:
+def entropy_rate_bound(model: ModelSpec, mean_state):
     """Lower bound on the entropy rate evaluated at the mean state.
 
-    quantumness(M, rho) - 4 Var[L](rho); requires a Hermitian probe
-    (``observable_variance`` checks it).
+    Tr([M^dag, M] rho) - 4 Var[L](rho) for a Hermitian probe L; a
+    (..., d, d) stack of states gives one value per state.
     """
-    r = validate_density(mean_state)
-    var = observable_variance(model.probe, r)
-    return float(np.trace(model.quantumness_operator @ r).real) - 4.0 * var
+    l, r = bound_inputs(model.probe, mean_state)
+    quant = np.trace(model.quantumness_operator @ r, axis1=-2, axis2=-1).real
+    return quant - 4.0 * _variance(l, r)
 
 
 # Rate-bound values within this distance of zero are treated as zero:
@@ -145,13 +155,19 @@ def entropy_rate_bound(model: ModelSpec, mean_state) -> float:
 BOUND_SIGN_TOL = 1e-12
 
 
-def certifies_entropy_nondecreasing(model: ModelSpec, mean_state) -> bool:
+def bound_certifies(rhs):
+    """The sufficient condition on rate-bound values: rhs >= -BOUND_SIGN_TOL."""
+    return rhs >= -BOUND_SIGN_TOL
+
+
+def certifies_entropy_nondecreasing(model: ModelSpec, mean_state):
     """True iff the rate bound is nonnegative at the mean state.
 
     A sufficient (not necessary) condition for the ensemble-mean entropy
-    to be nondecreasing.
+    to be nondecreasing.  A (..., d, d) stack gives one flag per state.
     """
-    return entropy_rate_bound(model, mean_state) >= -BOUND_SIGN_TOL
+    ok = bound_certifies(entropy_rate_bound(model, mean_state))
+    return ok if np.ndim(ok) else bool(ok)
 
 
 def log_inequality_gap(rho, floor: float = EIG_FLOOR) -> float:
@@ -213,8 +229,8 @@ class EntropyBoundReport:
 def build_bound_report(model: ModelSpec, stats: "EnsembleStatistics") -> EntropyBoundReport:
     """Evaluate the rate bound along an ensemble and flag violations."""
     rate, rate_se = entropy_rate_estimate(stats)
-    rhs = np.array([entropy_rate_bound(model, rho) for rho in stats.mean_state])
-    sufficient = rhs >= -BOUND_SIGN_TOL
+    rhs = entropy_rate_bound(model, stats.mean_state)
+    sufficient = bound_certifies(rhs)
     violation = rate < rhs - 3.0 * rate_se
     return EntropyBoundReport(
         times=np.asarray(stats.times, dtype=float),

@@ -141,19 +141,14 @@ class SpectralDecomposition:
         return (self.vectors * self.eigenvalues) @ dagger(self.vectors)
 
 
-def hermitian_eig(m, herm_tol: float = 1e-8) -> SpectralDecomposition:
+def hermitian_eig(m) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix, eigenvalues descending.
 
-    The input is symmetrized before the solve; inputs farther than
-    ``herm_tol`` from Hermitian are rejected with the max asymmetry in
-    the message.
+    The input is symmetrized before the solve; an input that is not
+    ``is_hermitian`` is rejected with the max asymmetry in the message.
     """
     a = as_operator(m)
-    defect = hermiticity_defect(a)
-    if defect > herm_tol:
-        raise ValidationError(
-            f"matrix is not Hermitian: max asymmetry {defect:.3e} > {herm_tol:.1e}"
-        )
+    require_hermitian(a, f"matrix is not Hermitian: max asymmetry {{:.3e}} > {HERMITICITY_TOL:.1e}")
     w, v = np.linalg.eigh((a + dagger(a)) / 2.0)
     order = np.arange(len(w) - 1, -1, -1)
     return SpectralDecomposition(eigenvalues=w[order], vectors=v[:, order])

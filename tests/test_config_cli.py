@@ -898,6 +898,21 @@ class TestRulesCheckedBeforeTheRun:
         assert "Traceback" not in err
         assert blocker.read_text() == ""
 
+@pytest.mark.parametrize("command, emit, name", [
+    ("simulate", ["ensemble"], "ensemble.csv"),
+    ("simulate", ["trajectories"], "trajectory_00000.csv"),
+    ("verify-bound", ["ensemble"], "bound_report.csv"),
+    ("sweep-alpha", ["ensemble"], "sweep.csv"),
+], ids=["simulate-ensemble", "simulate-trajectories", "verify-bound", "sweep-alpha"])
+def test_unwritable_output_file_exits_two(tmp_path, capsys, command, emit, name):
+    cfg = write_config(tmp_path / "c.json", emit=emit, sweep={"alphas": [6.0]})
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)  # a directory where the CSV file should go
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out / name}: ")
+    assert "Traceback" not in err
+
 
 def _readme_config() -> str:
     """The JSON block of the README's "Config file" section, verbatim."""

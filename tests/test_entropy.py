@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from entroflux.ensemble import EnsembleStatistics
+from entroflux.ensemble import EnsembleConfig, EnsembleStatistics, run_ensemble
 from entroflux.entropy import (
     EntropyBoundReport,
     build_bound_report,
@@ -16,6 +16,7 @@ from entroflux.entropy import (
     quantumness,
     von_neumann_entropy,
 )
+from entroflux.integrate import IntegratorConfig
 from entroflux.linalg import (
     ValidationError,
     dagger,
@@ -232,6 +233,71 @@ class TestRateBound:
                           probe=SIGMA_MINUS.copy(), decoherence=SIGMA_MINUS.copy())
         with pytest.raises(ValidationError, match="Hermitian probe"):
             entropy_rate_bound(model, np.eye(2) / 2)
+
+
+def _per_state_bound(model, rho):
+    """The per-state variance and rate bound, as written before they took stacks."""
+    l = model.probe
+    mean = np.trace(l @ rho).real
+    second = np.trace(l @ l @ rho).real
+    var = second - mean * mean
+    return var, float(np.trace(model.quantumness_operator @ rho).real) - 4.0 * var
+
+
+class TestStackEvaluator:
+    def _assert_matches_per_state(self, model, states):
+        want = [_per_state_bound(model, rho) for rho in states.reshape(-1, *states.shape[-2:])]
+        var = np.array([v for v, _ in want]).reshape(states.shape[:-2])
+        bound = np.array([b for _, b in want]).reshape(states.shape[:-2])
+        assert observable_variance(model.probe, states).tobytes() == var.tobytes()
+        assert entropy_rate_bound(model, states).tobytes() == bound.tobytes()
+        assert (certifies_entropy_nondecreasing(model, states).tobytes()
+                == (bound >= -1e-12).tobytes())
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_random_models_match_the_per_state_formula_bit_for_bit(self, d):
+        rng = np.random.default_rng(100 + d)
+        for trial in range(5):
+            model = ModelSpec(dim=d, hamiltonian=random_hermitian(d, rng),
+                              probe=random_hermitian(d, rng),
+                              decoherence=random_operator(d, rng))
+            states = np.array([random_density(d, seed=1000 * trial + s) for s in range(60)])
+            self._assert_matches_per_state(model, states.reshape(3, 20, d, d))
+
+    def test_qubit_run_mean_states_match_the_per_state_formula(self):
+        model = qubit_model(QubitScenario(kappa=1.0, alpha=6.0))
+        integ = IntegratorConfig(dt=1e-3, t_final=0.3, record_stride=10)
+        states = run_ensemble(model, bloch_to_density((1.0, 0.0, 0.0)), EnsembleConfig(
+            n_trajectories=64, master_seed=7, worker_count=1, integrator=integ)).mean_state
+        self._assert_matches_per_state(model, states)
+        report = build_bound_report(model, stats_stub(
+            np.arange(len(states)), states, np.zeros(len(states))))
+        assert report.rhs_bound.tobytes() == entropy_rate_bound(model, states).tobytes()
+
+    def test_one_state_gives_a_scalar(self):
+        model = qubit_model(QubitScenario(kappa=1.0, alpha=6.0))
+        rho = bloch_to_density((0.0, 0.0, 0.6))
+        assert np.ndim(entropy_rate_bound(model, rho)) == 0
+        assert np.ndim(observable_variance(model.probe, rho)) == 0
+        assert certifies_entropy_nondecreasing(model, rho) is True
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda model, states: observable_variance(model.probe, states),
+        entropy_rate_bound,
+        certifies_entropy_nondecreasing,
+    ], ids=["observable_variance", "entropy_rate_bound", "certifies_entropy_nondecreasing"])
+    def test_an_invalid_state_in_a_stack_is_named_by_its_index(self, evaluate):
+        model = qubit_model(QubitScenario(kappa=1.0, alpha=6.0))
+        states = np.array([random_density(2, seed=s) for s in range(12)]).reshape(3, 4, 2, 2)
+        states[2, 1] = np.diag([0.7, 0.7])
+        with pytest.raises(ValidationError, match="trace") as err:
+            evaluate(model, states)
+        assert err.value.index == (2, 1)
+
+    def test_a_stack_of_another_dimension_is_rejected(self):
+        model = qubit_model(QubitScenario(kappa=1.0, alpha=6.0))
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            entropy_rate_bound(model, np.tile(np.eye(3) / 3, (4, 1, 1)))
 
 
 class TestEntropyRateEstimate:

@@ -294,3 +294,10 @@ def test_hermiticity_rule():
     with pytest.raises(ValidationError) as err:
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), "probe asymmetry {:.3e}")
     assert str(err.value) == "probe asymmetry 1.000e+00"
+
+
+def test_hermitian_eig_follows_the_hermiticity_rule():
+    hermitian_eig(np.array([[0.0, 1e-10], [0.0, 0.0]]))
+    with pytest.raises(ValidationError) as err:
+        hermitian_eig(np.array([[0.0, 2e-10], [0.0, 0.0]]))
+    assert str(err.value) == "matrix is not Hermitian: max asymmetry 2.000e-10 > 1.0e-10"
