@@ -28,7 +28,7 @@ from .integrate import (
     _stack_rows,
 )
 from .integrate import wiener_increment  # noqa: F401  bench/tracer.py wraps it here
-from .linalg import ValidationError, validate_densities
+from .linalg import ValidationError, require_integer, validate_densities
 from .model import ModelSpec
 
 # Trajectories per partial sum; constant so that chunk boundaries (and
@@ -58,12 +58,11 @@ class EnsembleConfig:
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
 
     def __post_init__(self):
-        if not self.n_trajectories >= 1:
-            raise ValidationError("n_trajectories must be >= 1")
-        if not self.master_seed >= 0:
-            raise ValidationError("master_seed must be >= 0")
-        if not self.worker_count >= 1:
-            raise ValidationError("worker_count must be >= 1")
+        for name, least in (("n_trajectories", 1), ("master_seed", 0), ("worker_count", 1)):
+            value = getattr(self, name)
+            require_integer(value, name)
+            if value < least:
+                raise ValidationError(f"{name} must be >= {least}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ def _chunk_totals(values: np.ndarray) -> np.ndarray:
 
 
 def _chunk_sums(payload, keep_rows: bool = False):
-    """Simulate trajectories [start, stop) as one batch; return its times, chunk sums and rows.
+    """Simulate trajectories [start, stop) as one batch; return its chunk sums and rows.
 
     The span covers whole chunks of ``CHUNK_SIZE`` rows (the last may be
     short).  Each summed quantity is one array whose leading axis is the
@@ -115,6 +114,7 @@ def _chunk_sums(payload, keep_rows: bool = False):
 
     def record(rows):
         states, entropies = rows["states"], rows["entropies"]
+        # ~20x faster than the bound's np.trace(Q @ r) at 2560 rows; the last bits can differ
         q = np.einsum("ij,bji->b", model.quantumness_operator, states).real
         for key, values in (("state", states), ("state_sq", states.real ** 2 + states.imag ** 2),
                             ("s", entropies), ("s_sq", entropies ** 2), ("q", q), ("q_sq", q ** 2)):
@@ -126,15 +126,13 @@ def _chunk_sums(payload, keep_rows: bool = False):
     try:
         _run_em_batch(model, rho0, integrator, rngs, record)
     except IntegrationError as err:
-        traj = start + err.trajectory if err.trajectory is not None else None
-        return IntegrationError(
-            f"trajectory {traj}: {err}",
-            step=err.step, trajectory=traj, magnitude=err.magnitude,
-        )
+        err.trajectory += start
+        err.args = (f"trajectory {err.trajectory}: {err}",)
+        return err.with_traceback(None)  # the traceback would keep the span's arrays alive
     sums = {key: np.stack(per_checkpoint, axis=1) for key, per_checkpoint in sums.items()}
     sums["flagged"] = _chunk_totals(repair > REPAIR_FLAG_TOTAL)
     sums["repair_total"] = _chunk_totals(repair)
-    return integrator.checkpoint_times, sums, _stack_rows(kept) if keep_rows else None
+    return sums, _stack_rows(kept) if keep_rows else None
 
 
 def _se_from_sums(total, total_sq, n: int) -> np.ndarray:
@@ -145,49 +143,36 @@ def _se_from_sums(total, total_sq, n: int) -> np.ndarray:
     return np.sqrt(var / n)
 
 
-def _reduce(outcomes, trajectory_sink) -> dict:
-    """Add up chunk sums in chunk order as the spans arrive, passing rows to the sink.
+def _reduce(payloads, outcomes, times, trajectory_sink, lost=(MemoryError,)) -> dict:
+    """Read the span outcomes in span order, sinking rows and adding chunk sums in chunk order.
 
-    If any span failed, the failure with the smallest (step, trajectory)
-    is raised, whatever the span layout; no chunk after the first failed
-    span is reduced or sunk.
+    Spans are sunk and added until the first failed one; the failure with the smallest
+    (step, trajectory) is raised, whatever the span layout.  A worker lost as ``lost``
+    names (out of memory; in a pool, also a crash) raises WorkerError at once.
     """
-    totals, errors, start = {}, [], 0
-    for outcome in outcomes:
+    totals, errors = {}, []
+    for *_, start, stop in payloads:
+        try:
+            outcome = next(outcomes)
+        except lost as err:
+            raise WorkerError(
+                f"trajectories [{start}, {stop}) were not simulated: {err!r}") from None
         if isinstance(outcome, IntegrationError):
             errors.append(outcome)
         if errors:
             continue
-        times, sums, rows = outcome
-        span = len(sums["flagged"]) * CHUNK_SIZE
+        sums, rows = outcome
         if trajectory_sink is not None:
-            for a in range(0, span, CHUNK_SIZE):
+            for a in range(0, stop - start, CHUNK_SIZE):
                 trajectory_sink(start + a, times,
                                 {key: rows[key][:, a:a + CHUNK_SIZE] for key in TRAJECTORY_ROWS})
-        start += span
         # one chunk at a time, in chunk order: np.sum over the chunk axis sums pairwise
         for key, per_chunk in sums.items():
             totals[key] = (reduce(np.add, per_chunk, totals[key]) if key in totals
                            else reduce(np.add, per_chunk))
-        totals["times"] = times
     if errors:
         raise min(errors, key=lambda err: (err.step, err.trajectory))
     return totals
-
-
-def _span_outcomes(outcomes, payloads, lost=(MemoryError,)):
-    """Yield each span's outcome; a worker lost as ``lost`` names raises WorkerError.
-
-    A worker runs out of memory in any run; only a pool run can lose one to a crash.
-    """
-    for payload in payloads:
-        try:
-            yield next(outcomes)
-        except lost as err:
-            start, stop = payload[4:]
-            raise WorkerError(
-                f"trajectories [{start}, {stop}) were not simulated: {err!r}"
-            ) from None
 
 
 def _spans(n: int, workers: int) -> list[tuple[int, int]]:
@@ -213,18 +198,19 @@ def run_ensemble(model: ModelSpec, rho0, cfg: EnsembleConfig,
     as one batch by one pool task.  A failing trajectory aborts the whole
     run with its index and step: the earliest step at which any
     trajectory failed, and the lowest such trajectory.  A worker that dies
-    or runs out of memory raises WorkerError, naming the first span in
-    order that did not finish.
+    or runs out of memory before its span finished raises WorkerError at
+    once, naming that span.
 
     ``trajectory_sink``, if given, is called as ``sink(start, times, rows)``
-    once per chunk of ``CHUNK_SIZE`` rows, in chunk order, as the spans
-    arrive: ``rows`` maps each name in ``TRAJECTORY_ROWS`` to the chunk's
+    once per chunk of ``CHUNK_SIZE`` rows, in chunk order, up to the first
+    failed span: ``times`` is ``cfg.integrator.checkpoint_times``, and
+    ``rows`` maps each name in ``TRAJECTORY_ROWS`` to the chunk's
     (checkpoint, row) array, row b being trajectory ``start + b``, and is
-    freed after its span.  These are the rows the statistics are summed
-    from.
+    freed after its span.  These are the rows the statistics are summed from.
     """
     rho = _initial_state(model, rho0)
     n = cfg.n_trajectories
+    times = cfg.integrator.checkpoint_times
     payloads = [(model, rho, cfg.integrator, cfg.master_seed, start, stop)
                 for start, stop in _spans(n, cfg.worker_count)]
     # looked up per call, so a wrapped module-level ``_chunk_sums`` is used
@@ -232,21 +218,20 @@ def run_ensemble(model: ModelSpec, rho0, cfg: EnsembleConfig,
     # a pool starts all its processes at once, so it gets at most one per span
     workers = min(cfg.worker_count, len(payloads))
     if workers == 1:
-        totals = _reduce(_span_outcomes(map(work, payloads), payloads), trajectory_sink)
+        totals = _reduce(payloads, map(work, payloads), times, trajectory_sink)
     else:
         # imported here, so a run that starts no pool loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
         with ProcessPoolExecutor(max_workers=workers) as executor:
-            outcomes = _span_outcomes(executor.map(work, payloads), payloads,
-                                      lost=(BrokenProcessPool, MemoryError))
-            totals = _reduce(outcomes, trajectory_sink)
+            totals = _reduce(payloads, executor.map(work, payloads), times, trajectory_sink,
+                             lost=(BrokenProcessPool, MemoryError))
 
     mean_state = totals["state"] / n
     validate_densities(mean_state)
     return EnsembleStatistics(
-        times=totals["times"],
+        times=times,
         mean_state=mean_state,
         mean_entropy=totals["s"] / n,
         entropy_se=_se_from_sums(totals["s"], totals["s_sq"], n),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import entropy_of_states
-from .linalg import ValidationError, as_operator, dagger, validate_density
+from .linalg import ValidationError, as_operator, dagger, require_integer, validate_density
 from .model import ModelSpec
 
 # A trajectory whose accumulated clipped mass exceeds this is flagged as
@@ -75,6 +75,7 @@ class IntegratorConfig:
             raise ValidationError("floor must be positive")
         if not self.repair_tolerance > 0:
             raise ValidationError("repair_tolerance must be positive")
+        require_integer(self.record_stride, "record_stride")
         if not self.record_stride >= 1:
             raise ValidationError("record_stride must be >= 1")
 
@@ -428,10 +429,9 @@ def _run_em_batch(
         try:
             v, tr_meas, mags = kernel.step(v, dw)
         except IntegrationError as err:
-            raise IntegrationError(
-                f"step {step} (t={step * cfg.dt:.6g}): {err}", step=step,
-                trajectory=err.trajectory, magnitude=err.magnitude,
-            ) from None
+            err.step = step
+            err.args = (f"step {step} (t={step * cfg.dt:.6g}): {err}",)
+            raise
         np.multiply(tr_meas, cfg.dt, out=y_step)
         y_acc += y_step
         y_acc += dw

@@ -9,6 +9,7 @@ package builds on these checks.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,12 @@ class ValidationError(ValueError):
     """An operator or state failed a structural precondition."""
 
     index = None  # the failing state's position in the checked stack
+
+
+def require_integer(value, name: str) -> None:
+    """Raise ValidationError unless ``value`` is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def as_operator(m, name: str = "operator") -> np.ndarray:

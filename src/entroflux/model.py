@@ -24,8 +24,8 @@ from .linalg import (
     as_operator,
     check_same_dim,
     dagger,
-    is_hermitian,
     require_hermitian,
+    require_integer,
     validate_density,
 )
 
@@ -88,6 +88,7 @@ class ModelSpec:
     control: ControlLaw = field(default_factory=ControlLaw)
 
     def __post_init__(self):
+        require_integer(self.dim, "dim")
         h = as_operator(self.hamiltonian, "hamiltonian")
         l = as_operator(self.probe, "probe")
         m = as_operator(self.decoherence, "decoherence")
@@ -102,9 +103,6 @@ class ModelSpec:
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "probe", l)
         object.__setattr__(self, "decoherence", m)
-
-    def probe_is_hermitian(self) -> bool:
-        return is_hermitian(self.probe)
 
     @cached_property
     def dissipative_superop(self) -> np.ndarray:

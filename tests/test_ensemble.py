@@ -37,8 +37,25 @@ from entroflux.qubit import QubitScenario, bloch_to_density, qubit_model
 
 PLUS = bloch_to_density((1.0, 0.0, 0.0))
 SHORT = IntegratorConfig(dt=1e-3, t_final=0.4, record_stride=40)
+TINY = IntegratorConfig(dt=1e-3, t_final=0.02, record_stride=10)
 STATISTICS = ("times", "mean_state", "mean_entropy", "entropy_se",
               "quantumness_mean", "quantumness_se", "state_se")
+
+_CHUNK_SUMS = ensemble._chunk_sums
+_INJECTED = "trajectory 300: step 1 (t=0.001): injected"
+
+
+# Module-level span runners, so that a pool worker unpickles them by name.
+def _fail_the_span_at_256(payload, keep_rows=False):
+    if payload[4] == CHUNK_SIZE:
+        return IntegrationError(_INJECTED, step=1, trajectory=300)
+    return _CHUNK_SUMS(payload, keep_rows=keep_rows)
+
+
+def _fail_the_first_span_and_lose_the_rest(payload, keep_rows=False):
+    if payload[4] == 0:
+        return IntegrationError("trajectory 3: step 1 (t=0.001): injected", step=1, trajectory=3)
+    raise MemoryError
 
 
 def test_single_trajectory_ensemble_is_that_trajectory():
@@ -249,6 +266,38 @@ def test_config_validation():
         EnsembleConfig(n_trajectories=1, worker_count=0)
     with pytest.raises(ValidationError, match="master_seed must be >= 0"):
         EnsembleConfig(n_trajectories=1, master_seed=-1)
+
+
+@pytest.mark.parametrize("field, value", [("n_trajectories", True), ("n_trajectories", 2.5),
+                                          ("master_seed", 1.0), ("worker_count", 1.5),
+                                          ("worker_count", 2.0)])
+def test_integer_fields_take_only_integers(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value!r}"):
+        EnsembleConfig(**{"n_trajectories": 1, field: value})
+    assert EnsembleConfig(n_trajectories=np.int64(3), worker_count=np.int32(2)).n_trajectories == 3
+
+
+@pytest.mark.parametrize("workers, spans", [(2, [(0, 256), (256, 768)]),
+                                            (3, [(0, 256), (256, 512), (512, 768)])])
+def test_a_failed_span_ends_the_sinking_and_is_raised(workers, spans, monkeypatch):
+    assert _spans(768, workers) == spans
+    monkeypatch.setattr(ensemble, "_chunk_sums", _fail_the_span_at_256)
+    sunk = []
+    with pytest.raises(IntegrationError) as err:
+        run_ensemble(qubit_model(QubitScenario(kappa=1.0, alpha=6.0)), PLUS,
+                     EnsembleConfig(n_trajectories=768, worker_count=workers, integrator=TINY),
+                     trajectory_sink=lambda start, times, rows: sunk.append(start))
+    assert (str(err.value), err.value.step, err.value.trajectory) == (_INJECTED, 1, 300)
+    assert sunk == [0]
+
+
+@pytest.mark.parametrize("workers, lost", [(2, "[256, 768)"), (3, "[256, 512)")])
+def test_a_worker_lost_after_a_failed_span_is_named(workers, lost, monkeypatch):
+    monkeypatch.setattr(ensemble, "_chunk_sums", _fail_the_first_span_and_lose_the_rest)
+    with pytest.raises(ensemble.WorkerError) as err:
+        run_ensemble(qubit_model(QubitScenario(kappa=1.0, alpha=6.0)), PLUS,
+                     EnsembleConfig(n_trajectories=768, worker_count=workers, integrator=TINY))
+    assert str(err.value) == f"trajectories {lost} were not simulated: MemoryError()"
 
 
 def test_the_pool_starts_no_more_processes_than_spans(monkeypatch):

@@ -882,6 +882,12 @@ class TestIntegratorConfig:
         with pytest.raises(ValidationError, match="record_stride"):
             IntegratorConfig(record_stride=0)
 
+    @pytest.mark.parametrize("stride", [2.5, 2.0, True])
+    def test_rejects_a_non_integer_stride(self, stride):
+        # a stride of 2.5 once gave a 5-entry grid beside 3 recorded states
+        with pytest.raises(ValidationError, match=f"record_stride must be an integer, got {stride!r}"):
+            IntegratorConfig(dt=1e-3, t_final=0.01, record_stride=stride)
+
 
 class TestCheckpointGrid:
     @pytest.mark.parametrize("t_final, stride", [(0.05, 10), (0.059, 20), (0.001, 5)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entroflux.linalg import ValidationError, random_density, random_operator
+from entroflux.linalg import ValidationError, is_hermitian, random_density, random_operator
 from entroflux.model import (
     ControlLaw,
     ModelSpec,
@@ -193,6 +193,12 @@ class TestModelSpec:
             ModelSpec(dim=2, hamiltonian=SIGMA_MINUS.copy(),
                       probe=SIGMA_Z.copy(), decoherence=SIGMA_MINUS.copy())
 
+    @pytest.mark.parametrize("dim", [2.0, True])
+    def test_rejects_a_non_integer_dim(self, dim):
+        with pytest.raises(ValidationError, match=f"dim must be an integer, got {dim!r}"):
+            ModelSpec(dim=dim, hamiltonian=SIGMA_Y.copy(),
+                      probe=SIGMA_Z.copy(), decoherence=SIGMA_MINUS.copy())
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValidationError, match="shape"):
             ModelSpec(dim=3, hamiltonian=SIGMA_Y.copy(),
@@ -202,4 +208,4 @@ class TestModelSpec:
         # only the Hamiltonian must be Hermitian; L and M are free
         spec = ModelSpec(dim=2, hamiltonian=SIGMA_Y.copy(),
                          probe=SIGMA_MINUS.copy(), decoherence=SIGMA_MINUS.copy())
-        assert not spec.probe_is_hermitian()
+        assert not is_hermitian(spec.probe)
