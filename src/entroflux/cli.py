@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
-from .ensemble import TRAJECTORY_ROWS, WorkerError, run_ensemble
+from .ensemble import WorkerError, run_ensemble
 from .entropy import (
     bound_certifies,
     bound_inputs,
@@ -58,7 +58,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(row) + "\n")
+                fh.write(",".join([format(x, ".17g") for x in row]) + "\n")
     except OSError as err:
         raise ConfigError(f"cannot write {path}: {err.strerror}") from None
 
@@ -85,11 +85,6 @@ def _cells(times, states, *values) -> np.ndarray:
     return np.concatenate([t[..., None], state] + [v[..., None] for v in values], axis=-1)
 
 
-def _text(rows):
-    """Format rows of floats, 17 significant digits per cell."""
-    return ([format(x, ".17g") for x in row] for row in rows)
-
-
 def _default_workers() -> int:
     raw = os.environ.get(WORKERS_ENV)
     if raw is None:
@@ -105,7 +100,9 @@ def _default_workers() -> int:
 
 def _load(args) -> RunConfig:
     runs = hasattr(args, "workers")  # sweep-alpha runs no ensemble: no seed, no worker count
-    cfg = load_config(args.config, default_workers=_default_workers() if runs else 1)
+    # --workers overrides WORKERS_ENV, so a run given it does not read the variable
+    reads_env = runs and args.workers is None
+    cfg = load_config(args.config, default_workers=_default_workers() if reads_env else 1)
     ensemble = cfg.ensemble
     if runs and args.seed is not None:
         ensemble = replace(ensemble, master_seed=args.seed)
@@ -128,21 +125,21 @@ def _write_ensemble_csv(cfg: RunConfig, stats) -> str:
     cells = _cells(stats.times, stats.mean_state, stats.mean_entropy, stats.entropy_se,
                    stats.quantumness_mean)
     path = os.path.join(cfg.output_path, "ensemble.csv")
-    _write_csv(path, header, _text(cells.tolist()))
+    _write_csv(path, header, cells.tolist())
     return path
 
 
-def _write_trajectory_csvs(cfg: RunConfig, start: int, times, rows: dict) -> None:
-    """Trajectory sink of ``run_ensemble``: one CSV per row of a chunk."""
+def _write_trajectory_csvs(cfg: RunConfig, start: int, times, *rows) -> None:
+    """Trajectory sink of ``run_ensemble``: one CSV per row of a chunk, ``rows`` in column order."""
     header = ["t"] + _state_columns(cfg.model.dim) + ["S", "dW", "repair", "y"]
     try:
-        cells = _cells(times, *(rows[key] for key in TRAJECTORY_ROWS))
+        cells = _cells(times, *rows)
     except ValidationError as err:
         k, b = err.index
         raise IntegrationError(f"trajectory {start + b} at t = {times[k]:.17g}: {err}") from None
     for b in range(cells.shape[1]):
         _write_csv(os.path.join(cfg.output_path, f"trajectory_{start + b:05d}.csv"), header,
-                   _text(cells[:, b].tolist()))
+                   cells[:, b].tolist())
 
 
 def _write_bound_csv(cfg: RunConfig, report) -> str:
@@ -150,7 +147,7 @@ def _write_bound_csv(cfg: RunConfig, report) -> str:
     cells = np.column_stack([report.times, report.lhs_rate, report.lhs_se, report.rhs_bound,
                              report.sufficient_flag, report.violation_flag])
     path = os.path.join(cfg.output_path, "bound_report.csv")
-    _write_csv(path, header, _text(cells.tolist()))
+    _write_csv(path, header, cells.tolist())
     return path
 
 
@@ -205,8 +202,7 @@ def cmd_sweep_alpha(args) -> int:
         first = float(times[hits[0]]) if hits.size else -1.0
         rows.append([alpha, z_threshold(alpha), float(bounds.min()), first])
     path = os.path.join(cfg.output_path, "sweep.csv")
-    _write_csv(path, ["alpha", "z_threshold", "min_rhs_bound", "first_sufficient_time"],
-               _text(rows))
+    _write_csv(path, ["alpha", "z_threshold", "min_rhs_bound", "first_sufficient_time"], rows)
     print(path)
     return EXIT_OK
 

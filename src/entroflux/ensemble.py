@@ -20,12 +20,10 @@ import numpy as np
 from .entropy import entropy_of_states
 from .integrate import (
     REPAIR_FLAG_TOTAL,
-    TRAJECTORY_ROWS,
     IntegrationError,
     IntegratorConfig,
     _initial_state,
     _run_em_batch,
-    _stack_rows,
 )
 from .integrate import wiener_increment  # noqa: F401  bench/tracer.py wraps it here
 from .linalg import ValidationError, require_integer, validate_densities
@@ -103,8 +101,8 @@ def _chunk_sums(payload, keep_rows: bool = False):
 
     The span covers whole chunks of ``CHUNK_SIZE`` rows (the last may be
     short).  Each summed quantity is one array whose leading axis is the
-    chunk; ``rows`` holds the span's (checkpoint, row) arrays if
-    ``keep_rows``, else None.  A failing span returns its IntegrationError,
+    chunk; ``rows`` lists the span's (checkpoint, row) arrays in the sink's
+    order if ``keep_rows``, else None.  A failing span returns its IntegrationError,
     naming the first trajectory that failed at the first failing step.
     """
     model, rho0, integrator, master_seed, start, stop = payload
@@ -112,14 +110,14 @@ def _chunk_sums(payload, keep_rows: bool = False):
     sums, kept = {}, []  # sums: one list of chunk totals per quantity, one entry per checkpoint
     repair = np.zeros(stop - start)
 
-    def record(rows):
-        states, entropies = rows["states"], rows["entropies"]
+    def record(*rows):
+        states, entropies, _, rep, _ = rows
         # ~20x faster than the bound's np.trace(Q @ r) at 2560 rows; the last bits can differ
         q = np.einsum("ij,bji->b", model.quantumness_operator, states).real
         for key, values in (("state", states), ("state_sq", states.real ** 2 + states.imag ** 2),
                             ("s", entropies), ("s_sq", entropies ** 2), ("q", q), ("q_sq", q ** 2)):
             sums.setdefault(key, []).append(_chunk_totals(values))
-        np.add(repair, rows["rep_sums"], out=repair)
+        np.add(repair, rep, out=repair)
         if keep_rows:
             kept.append(rows)
 
@@ -132,7 +130,7 @@ def _chunk_sums(payload, keep_rows: bool = False):
     sums = {key: np.stack(per_checkpoint, axis=1) for key, per_checkpoint in sums.items()}
     sums["flagged"] = _chunk_totals(repair > REPAIR_FLAG_TOTAL)
     sums["repair_total"] = _chunk_totals(repair)
-    return sums, _stack_rows(kept) if keep_rows else None
+    return sums, [np.stack(c) for c in zip(*kept)] if keep_rows else None
 
 
 def _se_from_sums(total, total_sq, n: int) -> np.ndarray:
@@ -164,8 +162,7 @@ def _reduce(payloads, outcomes, times, trajectory_sink, lost=(MemoryError,)) -> 
         sums, rows = outcome
         if trajectory_sink is not None:
             for a in range(0, stop - start, CHUNK_SIZE):
-                trajectory_sink(start + a, times,
-                                {key: rows[key][:, a:a + CHUNK_SIZE] for key in TRAJECTORY_ROWS})
+                trajectory_sink(start + a, times, *(r[:, a:a + CHUNK_SIZE] for r in rows))
         # one chunk at a time, in chunk order: np.sum over the chunk axis sums pairwise
         for key, per_chunk in sums.items():
             totals[key] = (reduce(np.add, per_chunk, totals[key]) if key in totals
@@ -201,11 +198,12 @@ def run_ensemble(model: ModelSpec, rho0, cfg: EnsembleConfig,
     or runs out of memory before its span finished raises WorkerError at
     once, naming that span.
 
-    ``trajectory_sink``, if given, is called as ``sink(start, times, rows)``
-    once per chunk of ``CHUNK_SIZE`` rows, in chunk order, up to the first
-    failed span: ``times`` is ``cfg.integrator.checkpoint_times``, and
-    ``rows`` maps each name in ``TRAJECTORY_ROWS`` to the chunk's
-    (checkpoint, row) array, row b being trajectory ``start + b``, and is
+    ``trajectory_sink``, if given, is called as ``sink(start, times, states,
+    entropies, dW_draws, repair_magnitudes, measurement_record)`` once per
+    chunk of ``CHUNK_SIZE`` rows, in chunk order, up to the first failed
+    span: ``times`` is ``cfg.integrator.checkpoint_times``, and each array
+    is the chunk's (checkpoint, row) array of that ``TrajectoryRecord``
+    field, in the CSV's column order, row b being trajectory ``start + b``,
     freed after its span.  These are the rows the statistics are summed from.
     """
     rho = _initial_state(model, rho0)

@@ -32,10 +32,6 @@ REPAIR_FLAG_TOTAL = 1e-3
 # time in many short draw calls.
 NOISE_BUDGET_BYTES = 2 << 20
 
-# The per-row arrays recorded at each checkpoint, in the column order of
-# the trajectory CSVs.
-TRAJECTORY_ROWS = ("states", "entropies", "dw_sums", "rep_sums", "y_path")
-
 
 class IntegrationError(RuntimeError):
     """A step left the state space beyond the repair tolerance."""
@@ -106,7 +102,8 @@ class TrajectoryRecord:
     ``dW_draws`` and ``repair_magnitudes`` hold the noise and clipped
     mass accumulated over the interval ending at each checkpoint (zero
     at the initial checkpoint); ``measurement_record`` is the integrated
-    measurement signal y_t.
+    measurement signal y_t.  The fields after ``times`` are, in this order,
+    a checkpoint's record and the columns of the trajectory CSVs.
     """
 
     times: np.ndarray
@@ -378,11 +375,6 @@ def _initial_state(model: ModelSpec, rho0) -> np.ndarray:
     return rho
 
 
-def _stack_rows(kept: list[dict]) -> dict:
-    """Stack the per-checkpoint row dicts of ``_run_em_batch`` into (checkpoint, row) arrays."""
-    return {key: np.stack([rows[key] for rows in kept]) for key in TRAJECTORY_ROWS}
-
-
 def _run_em_batch(
     model: ModelSpec,
     rho0: np.ndarray,
@@ -395,8 +387,8 @@ def _run_em_batch(
     Row b draws its Wiener increments from ``rngs[b]``, a block of steps
     at a time, so the batch never holds more than ``NOISE_BUDGET_BYTES``
     of noise however long the horizon.  At each of ``cfg.checkpoint_times``
-    ``record(rows)`` gets a dict mapping each name in ``TRAJECTORY_ROWS``
-    to that checkpoint's per-row array.
+    ``record(*rows)`` gets that checkpoint's per-row arrays of the
+    ``TrajectoryRecord`` fields after ``times``, in their order.
     """
     rows = len(rngs)
     kernel = _EulerMaruyamaKernel(model, cfg, rows)
@@ -412,8 +404,7 @@ def _run_em_batch(
         # the step reuses its arrays and the accumulators are updated in
         # place, so a record keeps copies
         states = v.reshape(rows, *rho0.shape).copy()
-        record({"states": states, "entropies": entropy_of_states(states),
-                "dw_sums": dw_acc.copy(), "rep_sums": rep_acc.copy(), "y_path": y_acc.copy()})
+        record(states, entropy_of_states(states), dw_acc.copy(), rep_acc.copy(), y_acc.copy())
 
     dw_acc = np.zeros(rows)
     rep_acc = np.zeros(rows)
@@ -458,16 +449,8 @@ def simulate_trajectory(
     """
     rho = _initial_state(model, rho0)
     kept = []
-    _run_em_batch(model, rho, cfg, [np.random.default_rng(seed)], kept.append)
-    out = _stack_rows(kept)
-    return TrajectoryRecord(
-        times=cfg.checkpoint_times,
-        states=out["states"][:, 0],
-        entropies=out["entropies"][:, 0],
-        dW_draws=out["dw_sums"][:, 0],
-        repair_magnitudes=out["rep_sums"][:, 0],
-        measurement_record=out["y_path"][:, 0],
-    )
+    _run_em_batch(model, rho, cfg, [np.random.default_rng(seed)], lambda *rows: kept.append(rows))
+    return TrajectoryRecord(cfg.checkpoint_times, *(np.stack(c)[:, 0] for c in zip(*kept)))
 
 
 def integrate_master_equation(

@@ -104,6 +104,10 @@ def z_threshold(alpha: float) -> float:
     """
     if alpha < 0:
         raise ValidationError("alpha must be nonnegative")
+    if alpha > 1e100:
+        # alpha * alpha overflows above about 1.3e154; from 1e100 up, where
+        # it is finite, the form below rounds to 4 / alpha bit for bit
+        return 4.0 / alpha
     return 8.0 / (math.sqrt(alpha * alpha + 64.0) + alpha)
 
 

@@ -6,8 +6,6 @@ failure; the CLI exposes the battery as the ``selftest`` subcommand.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from . import entropy, integrate, linalg, model, qubit
@@ -205,13 +203,13 @@ SUITES = (
 )
 
 
-def run_selftest(log: Callable = print) -> bool:
+def run_selftest() -> bool:
     """Run every suite, printing one PASS/FAIL line each; True iff all pass."""
     all_ok = True
     for name, suite in SUITES:
         ok, detail = suite()
-        log(f"{'PASS' if ok else 'FAIL'} {name}")
+        print(f"{'PASS' if ok else 'FAIL'} {name}")
         if not ok:
-            log(f"  counterexample: {detail}")
+            print(f"  counterexample: {detail}")
             all_ok = False
     return all_ok

@@ -12,7 +12,6 @@ from entroflux.config import ConfigError, load_config
 from entroflux.ensemble import EnsembleConfig, run_ensemble, trajectory_seed
 from entroflux.entropy import BOUND_SIGN_TOL, build_bound_report, entropy_rate_bound
 from entroflux.integrate import (
-    TRAJECTORY_ROWS,
     IntegrationError,
     IntegratorConfig,
     simulate_trajectory,
@@ -384,11 +383,11 @@ class TestCsvFormatting:
         dim = cfg.model.dim
         want = {}
 
-        def sink(start, times, rows):
-            for b in range(rows["states"].shape[1]):
+        def sink(start, times, *rows):
+            for b in range(rows[0].shape[1]):
                 want[f"trajectory_{start + b:05d}.csv"] = reference_header(
                     dim, ["S", "dW", "repair", "y"]) + "".join(
-                    reference_row(t, *(rows[key][k, b] for key in TRAJECTORY_ROWS))
+                    reference_row(t, *(r[k, b] for r in rows))
                     for k, t in enumerate(times))
 
         stats = run_ensemble(cfg.model, cfg.initial_state, cfg.ensemble, trajectory_sink=sink)
@@ -418,25 +417,25 @@ class TestCsvFormatting:
         os.makedirs(cfg.output_path)
         times = np.array([0.0, 0.03, 0.06])
         states = np.array([random_density(2, seed=s) for s in range(12)]).reshape(3, 4, 2, 2)
-        rows = {"states": states, **{key: np.zeros((3, 4)) for key in TRAJECTORY_ROWS[1:]}}
-        cli._write_trajectory_csvs(cfg, 256, times, rows)  # a valid chunk passes
+        rows = [states] + [np.zeros((3, 4)) for _ in range(4)]
+        cli._write_trajectory_csvs(cfg, 256, times, *rows)  # a valid chunk passes
         assert len(os.listdir(cfg.output_path)) == 4
 
         bad = {"trace": 1.1 * states[1, 2],
                "hermiticity": states[1, 2] + np.array([[0.0, 1e-6], [0.0, 0.0]])}[corrupt]
-        rows["states"] = states.copy()
-        rows["states"][1, 2] = bad
+        rows[0] = states.copy()
+        rows[0][1, 2] = bad
         with pytest.raises(ValidationError) as want:
             validate_density(bad)
         with pytest.raises(IntegrationError) as got:
-            cli._write_trajectory_csvs(cfg, 256, times, rows)
+            cli._write_trajectory_csvs(cfg, 256, times, *rows)
         assert str(got.value) == f"trajectory 258 at t = 0.029999999999999999: {want.value}"
 
     def test_invalid_state_from_a_run_exits_three(self, tmp_path, capsys, monkeypatch):
         # a state the run produced is an integration failure, not a config error
         def corrupt_chunk_sums(payload, keep_rows=False):
             sums, rows = _CHUNK_SUMS(payload, keep_rows=keep_rows)
-            rows["states"][1, 2] *= 1.1
+            rows[0][1, 2] *= 1.1
             return sums, rows
 
         monkeypatch.setattr(ensemble, "_chunk_sums", corrupt_chunk_sums)
@@ -692,6 +691,12 @@ class TestWorkerEnvDefault:
         cfg = write_config(tmp_path / "c.json")
         monkeypatch.setenv("ENTROFLUX_WORKERS", "many")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_workers_option_leaves_env_var_unread(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "c.json")
+        monkeypatch.setenv("ENTROFLUX_WORKERS", "many")
+        assert main(["simulate", "--config", cfg, "--workers", "1",
+                     "--out", str(tmp_path / "o")]) == 0
 
 
 def _with_integrator(path, emit=("ensemble",), **integrator):

@@ -10,7 +10,6 @@ from entroflux import ensemble
 from entroflux.ensemble import (
     CHUNK_SIZE,
     MAX_SPAN_CHUNKS,
-    TRAJECTORY_ROWS,
     EnsembleConfig,
     EnsembleStatistics,
     _spans,
@@ -119,12 +118,12 @@ def test_trajectory_sink_gets_every_chunk_in_order():
     plain = run_ensemble(model, PLUS, EnsembleConfig(**common))
     fed = run_ensemble(model, PLUS, EnsembleConfig(worker_count=2, **common),
                        trajectory_sink=lambda *args: calls.append(args))
-    assert [start for start, _, _ in calls] == [0, 256]
-    assert [rows["states"].shape[:2] for _, _, rows in calls] == [(3, 256), (3, 44)]
+    assert [start for start, *_ in calls] == [0, 256]
+    assert [states.shape[:2] for _, _, states, *_ in calls] == [(3, 256), (3, 44)]
     for field in STATISTICS:
         np.testing.assert_array_equal(getattr(plain, field), getattr(fed, field))
-    for _, times, rows in calls:
-        assert tuple(rows) == TRAJECTORY_ROWS
+    for _, times, *rows in calls:
+        assert len(rows) == 5
         np.testing.assert_array_equal(times, plain.times)
 
 
@@ -154,7 +153,7 @@ def test_statistics_and_sink_rows_are_the_same_bytes_on_any_worker_count():
         runs.append((stats, calls))
     (first, first_calls), later = runs[0], runs[1:]
     assert type(first.flagged_trajectories) is int and type(first.mean_total_repair) is float
-    assert [start for start, _, _ in first_calls] == list(range(0, 4100, CHUNK_SIZE))
+    assert [start for start, *_ in first_calls] == list(range(0, 4100, CHUNK_SIZE))
     for stats, calls in later:
         for name in EnsembleStatistics.__dataclass_fields__:
             got, want = getattr(stats, name), getattr(first, name)
@@ -165,12 +164,12 @@ def test_statistics_and_sink_rows_are_the_same_bytes_on_any_worker_count():
             else:
                 assert got == want
         assert len(calls) == len(first_calls)
-        for (start, times, rows), (want_start, want_times, want_rows) in zip(calls, first_calls):
+        for (start, times, *rows), (want_start, want_times, *want_rows) in zip(calls, first_calls):
             assert start == want_start and times.tobytes() == want_times.tobytes()
-            assert tuple(rows) == tuple(want_rows) == TRAJECTORY_ROWS
-            for key in TRAJECTORY_ROWS:
-                assert rows[key].shape == want_rows[key].shape
-                assert rows[key].tobytes() == want_rows[key].tobytes()
+            assert len(rows) == len(want_rows) == 5
+            for k in range(5):
+                assert rows[k].shape == want_rows[k].shape
+                assert rows[k].tobytes() == want_rows[k].tobytes()
 
 
 def test_mean_state_is_valid_and_unit_trace():
@@ -286,7 +285,7 @@ def test_a_failed_span_ends_the_sinking_and_is_raised(workers, spans, monkeypatc
     with pytest.raises(IntegrationError) as err:
         run_ensemble(qubit_model(QubitScenario(kappa=1.0, alpha=6.0)), PLUS,
                      EnsembleConfig(n_trajectories=768, worker_count=workers, integrator=TINY),
-                     trajectory_sink=lambda start, times, rows: sunk.append(start))
+                     trajectory_sink=lambda start, *_: sunk.append(start))
     assert (str(err.value), err.value.step, err.value.trajectory) == (_INJECTED, 1, 300)
     assert sunk == [0]
 

@@ -9,13 +9,11 @@ from entroflux import integrate, model
 from entroflux.config import load_config
 from entroflux.ensemble import EnsembleConfig, run_ensemble, trajectory_seed
 from entroflux.integrate import (
-    TRAJECTORY_ROWS,
     IntegrationError,
     IntegratorConfig,
     TrajectoryState,
     _project_batch,
     _run_em_batch,
-    _stack_rows,
     em_step,
     integrate_master_equation,
     project_to_physical,
@@ -382,11 +380,11 @@ class TestSimulateTrajectory:
 
 
 def batch_rows(spec, rho0, cfg, rows):
-    """The recorded rows of trajectories 0..rows-1 stepped as one batch."""
+    """The five (checkpoint, row) arrays of trajectories 0..rows-1 stepped as one batch."""
     kept = []
     rngs = [np.random.default_rng(trajectory_seed(7, i)) for i in range(rows)]
-    times = _run_em_batch(spec, rho0, cfg, rngs, kept.append)
-    return times, _stack_rows(kept)
+    _run_em_batch(spec, rho0, cfg, rngs, lambda *got: kept.append(got))
+    return [np.stack(c) for c in zip(*kept)]
 
 
 class TestBatchedStepping:
@@ -400,19 +398,22 @@ class TestBatchedStepping:
         else:
             spec, rho0 = d4_spec(), random_density(4, min_eig=0.05, seed=3)
         cfg = IntegratorConfig(dt=1e-3, t_final=0.03, record_stride=10)
-        _, widest = batch_rows(spec, rho0, cfg, 1000)
+        widest = batch_rows(spec, rho0, cfg, 1000)
         for rows in (1, 2, 3, 256, 257):
-            _, got = batch_rows(spec, rho0, cfg, rows)
-            for key in TRAJECTORY_ROWS:
-                assert np.array_equal(got[key], widest[key][:, :rows]), (rows, key)
+            got = batch_rows(spec, rho0, cfg, rows)
+            for k in range(5):
+                assert np.array_equal(got[k], widest[k][:, :rows]), (rows, k)
 
     def test_lone_row_is_simulate_trajectory(self):
         spec, rho0 = d4_spec(), random_density(4, min_eig=0.05, seed=3)
         cfg = IntegratorConfig(dt=1e-3, t_final=0.03, record_stride=10)
-        _, rows = batch_rows(spec, rho0, cfg, 3)
+        rows = batch_rows(spec, rho0, cfg, 3)
         rec = simulate_trajectory(spec, rho0, cfg, trajectory_seed(7, 2))
-        np.testing.assert_array_equal(rec.states, rows["states"][:, 2])
-        np.testing.assert_array_equal(rec.measurement_record, rows["y_path"][:, 2])
+        fields = (rec.states, rec.entropies, rec.dW_draws, rec.repair_magnitudes,
+                  rec.measurement_record)
+        assert len(rows) == len(fields)
+        for got, want in zip(rows, fields):
+            np.testing.assert_array_equal(want, got[:, 2])
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_recorded_rows_do_not_change_after_the_call(self, rows):
@@ -422,7 +423,7 @@ class TestBatchedStepping:
         cfg = IntegratorConfig(dt=1e-3, t_final=0.05, record_stride=10)
         kept, at_call = [], []
 
-        def record(got):
+        def record(*got):
             kept.append(got)
             at_call.append(copy.deepcopy(got))
 
@@ -430,8 +431,8 @@ class TestBatchedStepping:
         _run_em_batch(spec, bloch_to_density((1, 0, 0)), cfg, rngs, record)
         assert len(kept) == 6
         for got, want in zip(kept, at_call):
-            for key in TRAJECTORY_ROWS:
-                assert np.array_equal(got[key], want[key]), key
+            for k in range(5):
+                assert np.array_equal(got[k], want[k]), k
 
     def test_noise_blocks_are_bounded_and_leave_no_trace(self, monkeypatch):
         # 50 steps in blocks of 7 (not a multiple of the stride 10) must give
@@ -448,16 +449,15 @@ class TestBatchedStepping:
             return draw(rng, dt, size)
 
         monkeypatch.setattr(integrate, "wiener_increment", spy)
-        times, whole = batch_rows(spec, rho0, cfg, rows)
+        whole = batch_rows(spec, rho0, cfg, rows)
         assert sizes == [50] * rows
         sizes.clear()
         monkeypatch.setattr(integrate, "NOISE_BUDGET_BYTES", 7 * 8 * rows)
-        blocked_times, blocked = batch_rows(spec, rho0, cfg, rows)
+        blocked = batch_rows(spec, rho0, cfg, rows)
         assert sorted(set(sizes)) == [1, 7] and len(sizes) == 8 * rows
         assert max(sizes) * 8 * rows <= integrate.NOISE_BUDGET_BYTES
-        np.testing.assert_array_equal(times, blocked_times)
-        for key in TRAJECTORY_ROWS:
-            assert np.array_equal(whole[key], blocked[key]), key
+        for k in range(5):
+            assert np.array_equal(whole[k], blocked[k]), k
 
 
 def reference_project_2x2(v, tol):
@@ -658,8 +658,8 @@ def frozen_run_em_batch(spec, rho0, cfg, rngs, record):
 
     def checkpoint():
         states = v.reshape(rows, *rho0.shape)
-        record({"states": states, "entropies": integrate.entropy_of_states(states),
-                "dw_sums": dw_acc.copy(), "rep_sums": rep_acc.copy(), "y_path": y_acc.copy()})
+        record(states, integrate.entropy_of_states(states), dw_acc.copy(), rep_acc.copy(),
+               y_acc.copy())
 
     dw_acc, rep_acc, y_acc = np.zeros(rows), np.zeros(rows), np.zeros(rows)
     clipping = clean = 0
@@ -719,15 +719,15 @@ class TestBufferedRunMatchesFrozenRun:
         for rho0 in starts:
             rngs = [np.random.default_rng(trajectory_seed(3, i)) for i in range(rows)]
             want = []
-            counts = frozen_run_em_batch(spec, rho0, cfg, rngs, want.append)
+            counts = frozen_run_em_batch(spec, rho0, cfg, rngs, lambda *rows: want.append(rows))
             clipping, clean = clipping + counts[0], clean + counts[1]
             got = []
             rngs = [np.random.default_rng(trajectory_seed(3, i)) for i in range(rows)]
-            _run_em_batch(spec, rho0, cfg, rngs, got.append)
+            _run_em_batch(spec, rho0, cfg, rngs, lambda *rows: got.append(rows))
             assert len(got) == len(want) == len(cfg.checkpoint_times)
             for k, (g, w) in enumerate(zip(got, want)):
-                for key in TRAJECTORY_ROWS:
-                    assert same_record_bits(g[key], w[key]), (k, key)
+                for j in range(5):
+                    assert same_record_bits(g[j], w[j]), (k, j)
         assert clipping >= 1 and clean >= 20, (clipping, clean)
 
     @pytest.mark.parametrize("rows", [1, 3])
@@ -741,8 +741,8 @@ class TestBufferedRunMatchesFrozenRun:
         assert same_record_bits(mags, np.zeros(rows))
         kept = []
         rngs = [np.random.default_rng(trajectory_seed(3, i)) for i in range(rows)]
-        _run_em_batch(spec, rho0, cfg, rngs, kept.append)
-        assert same_record_bits(_stack_rows(kept)["rep_sums"], np.zeros((5, rows)))
+        _run_em_batch(spec, rho0, cfg, rngs, lambda *got: kept.append(got[3]))
+        assert same_record_bits(np.stack(kept), np.zeros((5, rows)))
 
 
 def clipping_rows(dim, rows, rng):

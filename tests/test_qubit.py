@@ -91,6 +91,9 @@ class TestThreshold:
     def test_large_alpha_limit(self):
         assert z_threshold(1e6) < 1e-4
 
+    def test_alpha_whose_square_overflows(self):
+        assert z_threshold(1e200) == 4e-200
+
     def test_strictly_decreasing(self):
         alphas = np.logspace(-3, 6, 50)
         values = [z_threshold(float(a)) for a in alphas]
