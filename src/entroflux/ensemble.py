@@ -100,23 +100,23 @@ def _chunk_sums(payload, keep_rows: bool = False):
     """Simulate trajectories [start, stop) as one batch; return its chunk sums and rows.
 
     The span covers whole chunks of ``CHUNK_SIZE`` rows (the last may be
-    short).  Each summed quantity is one array whose leading axis is the
-    chunk; ``rows`` lists the span's (checkpoint, row) arrays in the sink's
-    order if ``keep_rows``, else None.  A failing span returns its IntegrationError,
-    naming the first trajectory that failed at the first failing step.
+    short).  ``sums`` lists one array per summed quantity, leading axis the
+    chunk, in the order ``run_ensemble`` unpacks; ``rows`` lists the span's
+    (checkpoint, row) arrays in the sink's order if ``keep_rows``, else None.
+    A failing span returns its IntegrationError, naming the first trajectory
+    that failed at the first failing step.
     """
     model, rho0, integrator, master_seed, start, stop = payload
     rngs = [np.random.default_rng(trajectory_seed(master_seed, i)) for i in range(start, stop)]
-    sums, kept = {}, []  # sums: one list of chunk totals per quantity, one entry per checkpoint
+    per_checkpoint, kept = [], []  # per checkpoint, the chunk totals of each moment
     repair = np.zeros(stop - start)
 
     def record(*rows):
         states, entropies, _, rep, _ = rows
         # ~20x faster than the bound's np.trace(Q @ r) at 2560 rows; the last bits can differ
         q = np.einsum("ij,bji->b", model.quantumness_operator, states).real
-        for key, values in (("state", states), ("state_sq", states.real ** 2 + states.imag ** 2),
-                            ("s", entropies), ("s_sq", entropies ** 2), ("q", q), ("q_sq", q ** 2)):
-            sums.setdefault(key, []).append(_chunk_totals(values))
+        per_checkpoint.append([_chunk_totals(v) for v in (
+            states, states.real ** 2 + states.imag ** 2, entropies, entropies ** 2, q, q ** 2)])
         np.add(repair, rep, out=repair)
         if keep_rows:
             kept.append(rows)
@@ -127,28 +127,27 @@ def _chunk_sums(payload, keep_rows: bool = False):
         err.trajectory += start
         err.args = (f"trajectory {err.trajectory}: {err}",)
         return err.with_traceback(None)  # the traceback would keep the span's arrays alive
-    sums = {key: np.stack(per_checkpoint, axis=1) for key, per_checkpoint in sums.items()}
-    sums["flagged"] = _chunk_totals(repair > REPAIR_FLAG_TOTAL)
-    sums["repair_total"] = _chunk_totals(repair)
+    sums = [np.stack(c, axis=1) for c in zip(*per_checkpoint)]
+    sums += [_chunk_totals(repair > REPAIR_FLAG_TOTAL), _chunk_totals(repair)]
     return sums, [np.stack(c) for c in zip(*kept)] if keep_rows else None
 
 
-def _se_from_sums(total, total_sq, n: int) -> np.ndarray:
-    """Standard error of a mean from sum and sum of squares."""
+def _mean_se(total, total_sq, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of n samples and its standard error, from their sum and sum of squares."""
     if n < 2:
-        return np.zeros(total.shape)
+        return total / n, np.zeros(total.shape)
     var = np.maximum(total_sq - np.abs(total) ** 2 / n, 0.0) / (n - 1)
-    return np.sqrt(var / n)
+    return total / n, np.sqrt(var / n)
 
 
-def _reduce(payloads, outcomes, times, trajectory_sink, lost=(MemoryError,)) -> dict:
+def _reduce(payloads, outcomes, times, trajectory_sink, lost=(MemoryError,)) -> list:
     """Read the span outcomes in span order, sinking rows and adding chunk sums in chunk order.
 
     Spans are sunk and added until the first failed one; the failure with the smallest
     (step, trajectory) is raised, whatever the span layout.  A worker lost as ``lost``
     names (out of memory; in a pool, also a crash) raises WorkerError at once.
     """
-    totals, errors = {}, []
+    totals, errors = None, []
     for *_, start, stop in payloads:
         try:
             outcome = next(outcomes)
@@ -164,9 +163,8 @@ def _reduce(payloads, outcomes, times, trajectory_sink, lost=(MemoryError,)) -> 
             for a in range(0, stop - start, CHUNK_SIZE):
                 trajectory_sink(start + a, times, *(r[:, a:a + CHUNK_SIZE] for r in rows))
         # one chunk at a time, in chunk order: np.sum over the chunk axis sums pairwise
-        for key, per_chunk in sums.items():
-            totals[key] = (reduce(np.add, per_chunk, totals[key]) if key in totals
-                           else reduce(np.add, per_chunk))
+        totals = ([reduce(np.add, per_chunk) for per_chunk in sums] if totals is None else
+                  [reduce(np.add, per_chunk, t) for t, per_chunk in zip(totals, sums)])
     if errors:
         raise min(errors, key=lambda err: (err.step, err.trajectory))
     return totals
@@ -183,6 +181,19 @@ def _spans(n: int, workers: int) -> list[tuple[int, int]]:
     count = min(chunks, workers * -(-chunks // (workers * MAX_SPAN_CHUNKS)))
     edges = [CHUNK_SIZE * (chunks * k // count) for k in range(count + 1)]
     return [(a, min(b, n)) for a, b in zip(edges, edges[1:])]
+
+
+def _one_blas_thread():
+    """Pool initializer: numpy's bundled OpenBLAS runs on one thread in this worker.
+
+    A forked worker keeps the parent's BLAS threads, so a pool would run more
+    of them than there are cores.  Any other BLAS is left as it is.
+    """
+    import ctypes
+    from pathlib import Path
+
+    for path in Path(np.__file__).parents[1].glob("numpy.libs/libscipy_openblas*"):
+        getattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads64_", lambda n: None)(1)
 
 
 def run_ensemble(model: ModelSpec, rho0, cfg: EnsembleConfig,
@@ -222,24 +233,20 @@ def run_ensemble(model: ModelSpec, rho0, cfg: EnsembleConfig,
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=workers) as executor:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as executor:
             totals = _reduce(payloads, executor.map(work, payloads), times, trajectory_sink,
                              lost=(BrokenProcessPool, MemoryError))
 
-    mean_state = totals["state"] / n
+    state, state_sq, s, s_sq, q, q_sq, flagged, repair = totals
+    mean_state, state_se = _mean_se(state, state_sq, n)
     validate_densities(mean_state)
+    mean_entropy, entropy_se = _mean_se(s, s_sq, n)
+    quantumness_mean, quantumness_se = _mean_se(q, q_sq, n)
     return EnsembleStatistics(
-        times=times,
-        mean_state=mean_state,
-        mean_entropy=totals["s"] / n,
-        entropy_se=_se_from_sums(totals["s"], totals["s_sq"], n),
-        quantumness_mean=totals["q"] / n,
-        quantumness_se=_se_from_sums(totals["q"], totals["q_sq"], n),
-        state_se=_se_from_sums(totals["state"], totals["state_sq"], n),
-        n_trajectories=n,
-        flagged_trajectories=int(totals["flagged"]),
-        mean_total_repair=float(totals["repair_total"]) / n,
-    )
+        times=times, mean_state=mean_state, mean_entropy=mean_entropy, entropy_se=entropy_se,
+        quantumness_mean=quantumness_mean, quantumness_se=quantumness_se, state_se=state_se,
+        n_trajectories=n, flagged_trajectories=int(flagged),
+        mean_total_repair=float(repair) / n)
 
 
 def mean_entropy_vs_entropy_of_mean(stats: EnsembleStatistics) -> tuple[np.ndarray, np.ndarray]:

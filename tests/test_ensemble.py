@@ -1,7 +1,9 @@
 import concurrent.futures
+import ctypes
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +57,15 @@ def _fail_the_first_span_and_lose_the_rest(payload, keep_rows=False):
     if payload[4] == 0:
         return IntegrationError("trajectory 3: step 1 (t=0.001): injected", step=1, trajectory=3)
     raise MemoryError
+
+
+def _blas_threads():
+    """Threads of numpy's bundled OpenBLAS in this process; None under another BLAS."""
+    for path in Path(np.__file__).parents[1].glob("numpy.libs/libscipy_openblas*"):
+        get = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_num_threads64_", None)
+        if get is not None:
+            return get()
+    return None
 
 
 def test_single_trajectory_ensemble_is_that_trajectory():
@@ -305,9 +316,9 @@ def test_the_pool_starts_no_more_processes_than_spans(monkeypatch):
     real = concurrent.futures.ProcessPoolExecutor
     started = []
 
-    def recording(max_workers):
+    def recording(max_workers, **kwargs):
         started.append(max_workers)
-        return real(max_workers=min(max_workers, 2))
+        return real(max_workers=min(max_workers, 2), **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
     model = qubit_model(QubitScenario(kappa=1.0, alpha=6.0))
@@ -322,6 +333,27 @@ def test_the_pool_starts_no_more_processes_than_spans(monkeypatch):
                               getattr(pooled, field).view(np.uint64)), field
     assert serial.flagged_trajectories == pooled.flagged_trajectories
     assert serial.mean_total_repair == pooled.mean_total_repair
+
+
+def test_pool_workers_run_blas_on_one_thread(monkeypatch):
+    # a forked worker keeps the parent's BLAS threads, so a pool of them
+    # would run more BLAS threads than there are cores
+    parent = _blas_threads()
+    if parent is None:
+        pytest.skip("numpy does not run on its bundled scipy-openblas")
+    real = concurrent.futures.ProcessPoolExecutor
+    seen = []
+
+    def probing(max_workers, **kwargs):
+        pool = real(max_workers=max_workers, **kwargs)
+        seen.append(pool.submit(_blas_threads).result())
+        return pool
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", probing)
+    run_ensemble(qubit_model(QubitScenario(kappa=1.0, alpha=6.0)), PLUS,
+                 EnsembleConfig(n_trajectories=300, worker_count=2, integrator=TINY))
+    assert seen == [1]
+    assert _blas_threads() == parent  # the parent's BLAS is left alone
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -343,12 +375,20 @@ def test_standard_errors_are_the_brute_force_ones(dim):
     states = np.array([rec.states for rec in recs])
     entropies = np.array([rec.entropies for rec in recs])
     q = np.einsum("ij,nkji->nk", model.quantumness_operator, states).real
-    for got, samples in ((stats.entropy_se, entropies), (stats.quantumness_se, q),
-                         (stats.state_se, states)):
+    for mean, se, samples in ((stats.mean_entropy, stats.entropy_se, entropies),
+                              (stats.quantumness_mean, stats.quantumness_se, q),
+                              (stats.mean_state, stats.state_se, states)):
+        np.testing.assert_allclose(mean, samples.mean(axis=0), rtol=1e-12, atol=1e-14)
         want = np.std(samples, axis=0, ddof=1) / np.sqrt(n)
         assert want[1:].min() > 1e-4  # the runs spread, so the check is not 0 == 0
         # at zero spread (t = 0) the sum-of-squares form keeps ~sqrt(eps) of the scale
-        np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-8)
+        np.testing.assert_allclose(se, want, rtol=1e-7, atol=1e-8)
+    # the last two sums: a swap would still give an int and a float
+    assert stats.flagged_trajectories == sum(rec.repair_flagged for rec in recs)
+    repair = np.mean([rec.total_repair for rec in recs])
+    # the qubit run clips, so there the check is not 0 == 0; the d=4 run never clips
+    assert (repair > 0) == (dim == 2)
+    np.testing.assert_allclose(stats.mean_total_repair, repair, rtol=1e-12, atol=0)
 
 
 def test_a_run_without_a_pool_loads_no_process_pool():

@@ -366,3 +366,16 @@ class TestBoundReport:
         stats = stats_stub(times, states, entropies)
         report = build_bound_report(model, stats)
         np.testing.assert_array_equal(report.sufficient_flag, [False, False, False, True])
+
+    def test_a_simulated_ensemble_keeps_the_sufficient_condition(self):
+        # the paper's claim where it applies: near the excited state the bound
+        # is nonnegative, so the entropy of the ensemble mean must not fall
+        model = qubit_model(QubitScenario(kappa=1.0, alpha=6.0))
+        stats = run_ensemble(model, bloch_to_density((0.6, 0.0, 0.8)), EnsembleConfig(
+            n_trajectories=2048, master_seed=42, worker_count=1,
+            integrator=IntegratorConfig(dt=1e-3, t_final=0.3, record_stride=3)))
+        report = build_bound_report(model, stats)
+        sufficient = report.sufficient_flag
+        assert sufficient.sum() >= 10
+        assert not report.has_violation
+        assert np.all(report.lhs_rate[sufficient] >= -3.0 * report.lhs_se[sufficient])
