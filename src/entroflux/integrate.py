@@ -32,6 +32,10 @@ REPAIR_FLAG_TOTAL = 1e-3
 # time in many short draw calls.
 NOISE_BUDGET_BYTES = 2 << 20
 
+# Steps whose noise the stepping loop moves out of a block at once: one
+# 64-byte line of each row's float64 draws.
+SLAB_STEPS = 8
+
 
 class IntegrationError(RuntimeError):
     """A step left the state space beyond the repair tolerance."""
@@ -122,10 +126,21 @@ class TrajectoryRecord:
         return self.total_repair > REPAIR_FLAG_TOTAL
 
 
-def wiener_increment(rng: np.random.Generator, dt: float, size: int | None = None):
-    """Draw N(0, dt) increments, advancing ``rng`` deterministically."""
+def wiener_increment(rng, dt: float, size: int | None = None, out: np.ndarray | None = None):
+    """Draw N(0, dt) increments, advancing ``rng`` deterministically.
+
+    Given ``out``, a (rows, n) float64 array with contiguous rows, ``rng``
+    is a sequence of ``rows`` generators instead: row b of ``out`` takes
+    the next n standard normal draws of ``rng[b]`` and ``out`` is
+    returned.  ``sqrt(dt)`` times it has the bits of n increments of each
+    generator, which numpy draws as 0.0 + sqrt(dt) * z.
+    """
     if not dt > 0:
         raise ValidationError("dt must be positive")
+    if out is not None:
+        for row, gen in zip(out, rng):
+            gen.standard_normal(out=row)
+        return out
     return rng.normal(0.0, math.sqrt(dt), size) if size is not None else float(
         rng.normal(0.0, math.sqrt(dt))
     )
@@ -173,9 +188,10 @@ class _Workspace:
             self.x1, self.x2 = self.drift[:, 1], self.drift[:, 2]
             self.b = np.empty(n, np.complex128)
             self.b_re, self.b_im = self.b.real, self.b.imag
-            # the divisor, trace + 0j: the trace is its real part
-            self.safe = np.zeros(n, np.complex128)
-            self.trace = self.safe.real
+            # the factor 1/trace - 0j: its real part holds the trace until
+            # the renormalisation inverts it in place
+            self.inv = np.full(n, -0.0j)
+            self.trace = self.inv.real
             self.p, self.r, self.lam_min = np.empty(n), np.empty(n), np.empty(n)
             self.out = [self.state[:, k] for k in range(4)]
 
@@ -214,28 +230,31 @@ def _project_batch(v: np.ndarray, dim: int, tol: float,
         r += lam_min
         np.sqrt(r, out=r)
         np.subtract(p, r, out=lam_min)
-        lo = lam_min.min()
+        lo = np.minimum.reduce(lam_min)
         # with no row clipped, p >= r >= 0 on every row, so p + r > 0 is p > 0;
         # a non-finite entry leaves lo NaN or infinite
-        if 0.0 <= lo < math.inf and p.min() > 0.0:
+        if 0.0 <= lo < math.inf and np.minimum.reduce(p) > 0.0:
             magnitude = w.zeros
         else:
             clip = lam_min < 0.0
             magnitude = np.where(clip, -lam_min, 0.0)
             alive = np.add(p, r, out=p)  # p is not read again
             # max(-lo, 0) is magnitude.max()
-            if not (alive.min() > 0.0 and math.isfinite(lo) and max(-lo, 0.0) <= tol):
+            if not (np.minimum.reduce(alive) > 0.0 and math.isfinite(lo) and max(-lo, 0.0) <= tol):
                 _raise_first_failure(~(alive > 0.0) | ~np.isfinite(lam_min), magnitude, tol)
             # only clipped rows may carry a nonpositive trace, and their
             # renormalized values are overwritten below
             clipped = np.flatnonzero(clip)
             trace[clipped] = 1.0
+        # x * (1/t - 0j) has the bits of numpy's x / (t + 0j), which is
+        # (xr + xi*0)(1/t) + (xi - xr*0)(1/t) j, unless a product underflows
         out0, out1, out2, out3 = w.out
-        np.divide(a, w.safe, out=out0)
-        np.divide(b, w.safe, out=out1)
+        np.divide(1.0, trace, out=trace)
+        np.multiply(a, w.inv, out=out0)
+        np.multiply(b, w.inv, out=out1)
         np.conjugate(b, out=out2)
-        np.divide(out2, w.safe, out=out2)
-        np.divide(d, w.safe, out=out3)
+        np.multiply(out2, w.inv, out=out2)
+        np.multiply(d, w.inv, out=out3)
         if magnitude is not w.zeros:
             # a clipped row that is alive has r > |p| >= 0
             rc = r[clipped]
@@ -384,9 +403,12 @@ def _run_em_batch(
 ) -> None:
     """Step one trajectory per generator as one batch.
 
-    Row b draws its Wiener increments from ``rngs[b]``, a block of steps
-    at a time, so the batch never holds more than ``NOISE_BUDGET_BYTES``
-    of noise however long the horizon.  At each of ``cfg.checkpoint_times``
+    Row b draws its Wiener increments from ``rngs[b]`` into its own
+    contiguous run of a (rows, block) array, so the batch never holds more
+    than ``NOISE_BUDGET_BYTES`` of noise however long the horizon.  Every
+    ``SLAB_STEPS`` steps the loop copies the next steps' columns, scaled by
+    sqrt(dt), into a (steps, rows) slab whose rows are the steps' increments.
+    At each of ``cfg.checkpoint_times``
     ``record(*rows)`` gets that checkpoint's per-row arrays of the
     ``TrajectoryRecord`` fields after ``times``, in their order.
     """
@@ -395,9 +417,11 @@ def _run_em_batch(
     n_steps = cfg.n_steps
     stride = cfg.record_stride
     block = max(1, NOISE_BUDGET_BYTES // (8 * rows))
+    sqrt_dt = math.sqrt(cfg.dt)
 
     v = np.tile(rho0.reshape(-1), (rows, 1))
-    noise = np.empty((min(block, n_steps), rows))
+    noise = np.empty((rows, min(block, n_steps)))
+    slab = np.empty((SLAB_STEPS, rows))
     y_step = np.empty(rows)
 
     def checkpoint():
@@ -413,10 +437,12 @@ def _run_em_batch(
     for step in range(1, n_steps + 1):
         j = (step - 1) % block
         if j == 0:
-            size = min(block, n_steps + 1 - step)
-            for b, rng in enumerate(rngs):
-                noise[:size, b] = wiener_increment(rng, cfg.dt, size=size)
-        dw = noise[j]
+            drawn = wiener_increment(rngs, cfg.dt, out=noise[:, :min(block, n_steps + 1 - step)])
+        k = j % SLAB_STEPS
+        if k == 0:
+            cols = drawn[:, j:j + SLAB_STEPS]
+            np.multiply(cols.T, sqrt_dt, out=slab[:cols.shape[1]])
+        dw = slab[k]
         try:
             v, tr_meas, mags = kernel.step(v, dw)
         except IntegrationError as err:

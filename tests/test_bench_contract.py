@@ -82,6 +82,8 @@ def test_traced_simulate_reports_every_layer_metric(tracer, tmp_path, monkeypatc
     # 50 steps of one 3-row batch, each row repaired once per step
     assert values["integrate.step_calls"] == 50
     assert values["integrate.repair_rows"] == values["integrate.traj_steps"] == 150
+    # and every Wiener draw through the wrapped ``wiener_increment``
+    assert values["integrate.wiener_draws"] == 150
 
 
 def _blas() -> str | None:

@@ -33,6 +33,7 @@ from entroflux.qubit import (
     QubitScenario,
     bloch_to_density,
     qubit_model,
+    unconditional_bloch,
 )
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
@@ -379,3 +380,30 @@ class TestBoundReport:
         assert sufficient.sum() >= 10
         assert not report.has_violation
         assert np.all(report.lhs_rate[sufficient] >= -3.0 * report.lhs_se[sufficient])
+
+    @pytest.mark.parametrize("alpha", [0.0, 2.0, 6.0])
+    @pytest.mark.parametrize("bloch", [(1.0, 0.0, 0.0), (0.6, 0.0, 0.8), (0.0, 0.0, 1.0)])
+    def test_the_bound_is_not_positive_on_a_stationary_mean(self, alpha, bloch):
+        # a stationary ensemble's entropy rate is zero, so the theorem needs
+        # rhs <= 0 there: -4 (1 - z^2) at alpha 0, where z is conserved, and
+        # -alpha at the ground state the decay leads to
+        scenario = QubitScenario(kappa=1.0, alpha=alpha)
+        states = np.stack([bloch_to_density(unconditional_bloch(scenario, bloch, t))
+                           for t in (10.0, 40.0)])
+        rhs = entropy_rate_bound(qubit_model(scenario), states)
+        want = -4.0 * (1.0 - bloch[2] ** 2) if alpha == 0.0 else -alpha
+        np.testing.assert_allclose(rhs, want, atol=1e-7)
+        assert np.all(rhs <= 0.0)
+
+    def test_a_stationary_simulated_ensemble_has_no_positive_bound(self):
+        # the README model has settled by t = 2.7: the rate is zero and the
+        # bound at the mean state is negative
+        model = qubit_model(QubitScenario(kappa=1.0, alpha=6.0))
+        stats = run_ensemble(model, bloch_to_density((1.0, 0.0, 0.0)), EnsembleConfig(
+            n_trajectories=256, master_seed=42, worker_count=1,
+            integrator=IntegratorConfig(dt=1e-3, t_final=3.0, record_stride=30)))
+        report = build_bound_report(model, stats)
+        late = report.times >= 2.7
+        assert late.sum() == 11
+        assert np.all(np.abs(report.lhs_rate[late]) <= 1e-6)
+        assert np.all(report.rhs_bound[late] <= 0.0)

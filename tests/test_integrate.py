@@ -97,6 +97,19 @@ class TestWienerIncrement:
         singles = np.array([wiener_increment(r2, 0.01) for _ in range(6)])
         np.testing.assert_array_equal(arr, singles)
 
+    def test_block_fill_scaled_has_the_bits_of_increments(self):
+        # a block view whose rows are contiguous but not adjacent: row b holds
+        # the standard normal draws of generator b, which sqrt(dt) scales
+        # into the bits of that generator's increments
+        buffer = np.empty((3, 9))
+        block = wiener_increment([np.random.default_rng(s) for s in range(3)], 0.01,
+                                 out=buffer[:, :6])
+        assert block.base is buffer and block.shape == (3, 6)
+        for s in range(3):
+            want = wiener_increment(np.random.default_rng(s), 0.01, size=6)
+            np.testing.assert_array_equal((math.sqrt(0.01) * block[s]).view(np.uint64),
+                                          want.view(np.uint64))
+
     def test_rejects_bad_dt(self):
         with pytest.raises(ValidationError, match="dt must be positive"):
             wiener_increment(np.random.default_rng(0), 0.0)
@@ -332,10 +345,14 @@ class TestSimulateTrajectory:
     def test_measurement_localizes_majority_of_seeds(self):
         spec = qubit_spec(kappa=1.0, gamma=0.0)
         cfg = IntegratorConfig(dt=1e-3, t_final=3.0, record_stride=3000)
+        # seeds 0-99 stepped as one batch: each row has the bits of that
+        # seed's simulate_trajectory record
+        kept = []
+        rngs = [np.random.default_rng(seed) for seed in range(100)]
+        _run_em_batch(spec, bloch_to_density((1, 0, 0)), cfg, rngs, lambda *got: kept.append(got))
         high_purity = 0
-        for seed in range(100):
-            rec = simulate_trajectory(spec, bloch_to_density((1, 0, 0)), cfg, seed=seed)
-            purity = np.trace(rec.states[-1] @ rec.states[-1]).real
+        for state in kept[-1][0]:
+            purity = np.trace(state @ state).real
             if purity >= 0.9:
                 high_purity += 1
         assert high_purity > 50
@@ -434,30 +451,41 @@ class TestBatchedStepping:
             for k in range(5):
                 assert np.array_equal(got[k], want[k]), k
 
-    def test_noise_blocks_are_bounded_and_leave_no_trace(self, monkeypatch):
-        # 50 steps in blocks of 7 (not a multiple of the stride 10) must give
-        # the bits of one 50-step block, and no block may pass the budget
+    @pytest.mark.parametrize("t_final, budget_steps, sizes", [
+        (0.05, None, [50]),
+        # blocks of 7, not a multiple of the stride 10
+        (0.05, 7, [7] * 7 + [1]),
+        # 13-step blocks, each read as slabs of 8 and 5 steps
+        (0.05, 13, [13, 13, 13, 11]),
+        # the horizon ends 5 steps into a slab
+        (0.045, None, [45]),
+        (0.045, 13, [13, 13, 13, 6]),
+    ])
+    def test_noise_blocks_are_bounded_and_leave_no_trace(self, monkeypatch, t_final,
+                                                        budget_steps, sizes):
+        # one draw call fills each block, no block may pass the budget, and
+        # every checkpoint must have the bits of one 50-step block
         spec = qubit_spec(kappa=1.0, gamma=6.0)
         rho0 = bloch_to_density((1, 0, 0))
-        cfg = IntegratorConfig(dt=1e-3, t_final=0.05, record_stride=10)
         rows = 300
-        sizes = []
+        whole = batch_rows(spec, rho0, IntegratorConfig(dt=1e-3, t_final=0.05, record_stride=10),
+                           rows)
+        shapes = []
         draw = integrate.wiener_increment
 
-        def spy(rng, dt, size=None):
-            sizes.append(size)
-            return draw(rng, dt, size)
+        def spy(rng, dt, size=None, out=None):
+            shapes.append(None if out is None else out.shape)
+            return draw(rng, dt, size, out)
 
         monkeypatch.setattr(integrate, "wiener_increment", spy)
-        whole = batch_rows(spec, rho0, cfg, rows)
-        assert sizes == [50] * rows
-        sizes.clear()
-        monkeypatch.setattr(integrate, "NOISE_BUDGET_BYTES", 7 * 8 * rows)
+        if budget_steps is not None:
+            monkeypatch.setattr(integrate, "NOISE_BUDGET_BYTES", budget_steps * 8 * rows)
+        cfg = IntegratorConfig(dt=1e-3, t_final=t_final, record_stride=10)
         blocked = batch_rows(spec, rho0, cfg, rows)
-        assert sorted(set(sizes)) == [1, 7] and len(sizes) == 8 * rows
+        assert shapes == [(rows, size) for size in sizes]
         assert max(sizes) * 8 * rows <= integrate.NOISE_BUDGET_BYTES
         for k in range(5):
-            assert np.array_equal(whole[k], blocked[k]), k
+            assert np.array_equal(whole[k][:len(blocked[k])], blocked[k]), k
 
 
 def reference_project_2x2(v, tol):
@@ -564,6 +592,35 @@ class TestQubitStepMatchesReference:
             assert same_bits(mags, want_mags)
             clipped += int(np.count_nonzero(mags))
         assert 0 < clipped < 300 * batch
+
+    def test_reciprocal_factor_has_the_bits_of_the_complex_divide(self):
+        # the repair renormalises by x * (1/t - 0j) where the plain formulas
+        # divide by t + 0j; with magnitudes in 1e-150..1e150 no product
+        # underflows or overflows, so the two agree on every bit, the signs
+        # of exact zeros too, for complex x and for real columns of a batch
+        rng = np.random.default_rng(27)
+        n = 200_000
+
+        def values():
+            x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-150, 150, n)
+            x[rng.random(n) < 0.1] = 0.0
+            x[rng.random(n) < 0.1] = -0.0
+            return x
+
+        t = 10.0 ** rng.uniform(-150, 150, n)
+        factor = np.full(n, -0.0j)
+        np.divide(1.0, t, out=factor.real)
+        x = np.empty(n, np.complex128)
+        x.real, x.imag = values(), values()
+        batch = np.zeros((n, 4), np.complex128)
+        batch[:, 0].real = values()
+        column = batch[:, 0].real
+        for got, want in ((np.multiply(x, factor), np.divide(x, t + 0j)),
+                          (np.multiply(column, factor), np.divide(column, t + 0j))):
+            assert np.isfinite(want).all()
+            nonzero = np.concatenate([want.real, want.imag])
+            assert (np.abs(nonzero[nonzero != 0.0]) >= np.finfo(float).tiny).all()
+            assert same_bits(got, want)
 
     @pytest.mark.parametrize("bad_rows", [
         {3: "lost"}, {5: "over"}, {2: "lost", 6: "over"}, {2: "over", 6: "lost"},
