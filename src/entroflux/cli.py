@@ -57,8 +57,10 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(header) + "\n")
+            # '%.17g' % x is format(x, '.17g') for every float, -0, inf and nan too
+            line = ",".join(["%.17g"] * len(header)) + "\n"
             for row in rows:
-                fh.write(",".join([format(x, ".17g") for x in row]) + "\n")
+                fh.write(line % tuple(row))
     except OSError as err:
         raise ConfigError(f"cannot write {path}: {err.strerror}") from None
 
@@ -100,9 +102,10 @@ def _default_workers() -> int:
 
 def _load(args) -> RunConfig:
     runs = hasattr(args, "workers")  # sweep-alpha runs no ensemble: no seed, no worker count
-    # --workers overrides WORKERS_ENV, so a run given it does not read the variable
+    # --workers and the config's worker_count override WORKERS_ENV, so a run
+    # given either does not read the variable
     reads_env = runs and args.workers is None
-    cfg = load_config(args.config, default_workers=_default_workers() if reads_env else 1)
+    cfg = load_config(args.config, default_workers=_default_workers if reads_env else 1)
     ensemble = cfg.ensemble
     if runs and args.seed is not None:
         ensemble = replace(ensemble, master_seed=args.seed)

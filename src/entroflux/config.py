@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,11 +185,12 @@ def _integrator(node, where: str) -> IntegratorConfig:
     }, ("dt", "t_final")))
 
 
-def load_config(path: str, default_workers: int = 1) -> RunConfig:
+def load_config(path: str, default_workers: int | Callable[[], int] = 1) -> RunConfig:
     """Parse and validate a run configuration file.
 
     ``default_workers`` seeds ensemble.worker_count when the config omits
-    it (the CLI wires the ENTROFLUX_WORKERS environment default here).
+    it; a callable is called only then (the CLI wires the
+    ENTROFLUX_WORKERS environment default here).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -203,7 +205,10 @@ def load_config(path: str, default_workers: int = 1) -> RunConfig:
             "n_trajectories": _integer, "master_seed": _integer, "worker_count": _integer,
             "integrator": _integrator,
         }, ("n_trajectories", "integrator"))
-        return EnsembleConfig(**{"worker_count": default_workers, **fields})
+        if "worker_count" not in fields:
+            default = default_workers() if callable(default_workers) else default_workers
+            fields["worker_count"] = default
+        return EnsembleConfig(**fields)
 
     try:
         cfg = _fields(raw, "config", {

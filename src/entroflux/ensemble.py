@@ -102,7 +102,8 @@ def _chunk_sums(payload, keep_rows: bool = False):
     The span covers whole chunks of ``CHUNK_SIZE`` rows (the last may be
     short).  ``sums`` lists one array per summed quantity, leading axis the
     chunk, in the order ``run_ensemble`` unpacks; ``rows`` lists the span's
-    (checkpoint, row) arrays in the sink's order if ``keep_rows``, else None.
+    (checkpoint, row) arrays in the sink's order if ``keep_rows``, else None;
+    without ``keep_rows`` the batch keeps no noise or measurement sums.
     A failing span returns its IntegrationError, naming the first trajectory
     that failed at the first failing step.
     """
@@ -122,7 +123,7 @@ def _chunk_sums(payload, keep_rows: bool = False):
             kept.append(rows)
 
     try:
-        _run_em_batch(model, rho0, integrator, rngs, record)
+        _run_em_batch(model, rho0, integrator, rngs, record, signals=keep_rows)
     except IntegrationError as err:
         err.trajectory += start
         err.args = (f"trajectory {err.trajectory}: {err}",)

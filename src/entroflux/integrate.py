@@ -36,6 +36,13 @@ NOISE_BUDGET_BYTES = 2 << 20
 # 64-byte line of each row's float64 draws.
 SLAB_STEPS = 8
 
+# The step's scalar operands as 0-d arrays of its dtypes: a ufunc reads
+# them as they are, where it would convert a Python float on every call,
+# and computes with the same values, so no bit moves.  The step also
+# passes ``out`` positionally, which numpy parses faster than a keyword.
+_HALF, _QUARTER, _ONE, _HALF_C = (np.array(x) for x in (0.5, 0.25, 1.0, 0.5 + 0j))
+_min = np.minimum.reduce
+
 
 class IntegrationError(RuntimeError):
     """A step left the state space beyond the repair tolerance."""
@@ -193,6 +200,10 @@ class _Workspace:
             self.inv = np.full(n, -0.0j)
             self.trace = self.inv.real
             self.p, self.r, self.lam_min = np.empty(n), np.empty(n), np.empty(n)
+            # the clipped mass of a step where some row clips: +0.0 but at
+            # ``clipped``, the rows that clipped at the last such step
+            self.mass = np.zeros(n)
+            self.clipped = np.empty(0, np.intp)
             self.out = [self.state[:, k] for k in range(4)]
 
 
@@ -216,55 +227,59 @@ def _project_batch(v: np.ndarray, dim: int, tol: float,
         a, d, b, trace, p, r, lam_min = w.a, w.d, w.b, w.trace, w.p, w.r, w.lam_min
         # the numpy operations, and their order, of the plain full-batch
         # formulas, so every bit (exact-zero signs too) is theirs
-        np.conjugate(w.x2, out=b)
-        np.add(w.x1, b, out=b)
-        b *= 0.5
-        np.add(a, d, out=trace)
-        np.multiply(0.5, trace, out=p)
-        np.subtract(a, d, out=r)
-        np.square(r, out=r)
-        r *= 0.25
-        np.square(w.b_re, out=lam_min)
-        r += lam_min
-        np.square(w.b_im, out=lam_min)
-        r += lam_min
-        np.sqrt(r, out=r)
-        np.subtract(p, r, out=lam_min)
-        lo = np.minimum.reduce(lam_min)
-        # with no row clipped, p >= r >= 0 on every row, so p + r > 0 is p > 0;
-        # a non-finite entry leaves lo NaN or infinite
-        if 0.0 <= lo < math.inf and np.minimum.reduce(p) > 0.0:
+        np.conjugate(w.x2, b)
+        np.add(w.x1, b, b)
+        np.multiply(b, _HALF_C, b)
+        np.add(a, d, trace)
+        np.multiply(_HALF, trace, p)
+        np.subtract(a, d, r)
+        np.square(r, r)
+        np.multiply(r, _QUARTER, r)
+        np.square(w.b_re, lam_min)
+        np.add(r, lam_min, r)
+        np.square(w.b_im, lam_min)
+        np.add(r, lam_min, r)
+        np.sqrt(r, r)
+        np.subtract(p, r, lam_min)
+        lo = _min(lam_min)
+        # 0 < lo < inf gives p > r >= 0 on every row, so p + r > 0; at lo == 0
+        # that is p > 0; a non-finite entry leaves lo NaN or infinite
+        if 0.0 < lo < math.inf or (lo == 0.0 and _min(p) > 0.0):
             magnitude = w.zeros
         else:
-            clip = lam_min < 0.0
-            magnitude = np.where(clip, -lam_min, 0.0)
-            alive = np.add(p, r, out=p)  # p is not read again
-            # max(-lo, 0) is magnitude.max()
-            if not (np.minimum.reduce(alive) > 0.0 and math.isfinite(lo) and max(-lo, 0.0) <= tol):
-                _raise_first_failure(~(alive > 0.0) | ~np.isfinite(lam_min), magnitude, tol)
+            clipped = (lam_min < 0.0).nonzero()[0]
+            magnitude = w.mass
+            magnitude[w.clipped] = 0.0
+            magnitude[clipped] = -lam_min[clipped]
+            w.clipped = clipped
+            # max(-lo, 0) is magnitude.max(); where p > 0 on every row, so is p + r
+            within = math.isfinite(lo) and max(-lo, 0.0) <= tol
+            if not (within and _min(p) > 0.0):
+                alive = np.add(p, r, p)  # p is not read again
+                if not (within and _min(alive) > 0.0):
+                    _raise_first_failure(~(alive > 0.0) | ~np.isfinite(lam_min), magnitude, tol)
             # only clipped rows may carry a nonpositive trace, and their
             # renormalized values are overwritten below
-            clipped = np.flatnonzero(clip)
             trace[clipped] = 1.0
         # x * (1/t - 0j) has the bits of numpy's x / (t + 0j), which is
         # (xr + xi*0)(1/t) + (xi - xr*0)(1/t) j, unless a product underflows
         out0, out1, out2, out3 = w.out
-        np.divide(1.0, trace, out=trace)
-        np.multiply(a, w.inv, out=out0)
-        np.multiply(b, w.inv, out=out1)
-        np.conjugate(b, out=out2)
-        np.multiply(out2, w.inv, out=out2)
-        np.multiply(d, w.inv, out=out3)
+        np.divide(_ONE, trace, trace)
+        np.multiply(a, w.inv, out0)
+        np.multiply(b, w.inv, out1)
+        np.conjugate(b, out2)
+        np.multiply(out2, w.inv, out2)
+        np.multiply(d, w.inv, out3)
         if magnitude is not w.zeros:
             # a clipped row that is alive has r > |p| >= 0
             rc = r[clipped]
-            wz = 0.5 * (a[clipped] - d[clipped])
+            wz = _HALF * (a[clipped] - d[clipped])
             wz /= rc
-            off = 0.5 * b[clipped] / rc
-            out0[clipped] = 0.5 * (1.0 + wz)
+            off = _HALF_C * b[clipped] / rc
+            out0[clipped] = _HALF * (_ONE + wz)
             out1[clipped] = off
             out2[clipped] = off.conj()
-            out3[clipped] = 0.5 * (1.0 - wz)
+            out3[clipped] = _HALF * (_ONE - wz)
         return w.state, magnitude
 
     mats = v.reshape(-1, dim, dim)
@@ -311,6 +326,7 @@ class _EulerMaruyamaKernel:
     def __init__(self, model: ModelSpec, cfg: IntegratorConfig, rows: int):
         self.dim = model.dim
         self.dt = cfg.dt
+        self.dt_c = np.array(complex(cfg.dt))  # dt + 0j, as numpy scales a complex drift
         self.tol = cfg.repair_tolerance
         law = model.control
         self.bloch_gain = None
@@ -323,13 +339,17 @@ class _EulerMaruyamaKernel:
         self.k_meas = (l + dagger(l)).T.reshape(-1).copy()
         self.work = _Workspace(max(rows, 2), self.dim)
         self.tr_meas = self.work.mean.real[:rows]
+        self.tr_col = self.tr_meas[:, None]
+        # the clipped mass ``step`` returns on a step where no row clips
+        self.no_clip = self.work.zeros[:rows]
 
     def step(self, v: np.ndarray, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance a (rows, d*d) state array by one repaired EM step.
 
         Returns the next states, Tr[(L + L^dag) rho] of the given states
         (the measured mean, which drives both the innovation and the
-        measurement record) and the clipped mass, each per row.
+        measurement record) and the clipped mass, each per row.  On a step
+        where no row clips the clipped mass is ``no_clip``, all +0.0.
         """
         rows = len(v)
         w = self.work
@@ -337,23 +357,23 @@ class _EulerMaruyamaKernel:
             w.state[:] = v
             v = w.state
         drift, innov, prod = w.drift, w.innov, w.prod
-        np.matmul(v, self.k_meas, out=w.mean)
-        np.matmul(v, self.drift_t, out=drift)
+        np.matmul(v, self.k_meas, w.mean)
+        np.matmul(v, self.drift_t, drift)
         if self.bloch_gain is not None:
             u = -self.bloch_gain * (v[:, 1] + v[:, 2]).real
-            np.matmul(v, self.ham_t, out=prod)
-            np.multiply(u[:, None], prod, out=prod)
-            drift += prod
-        np.matmul(v, self.lin_t, out=innov)
-        np.multiply(self.tr_meas[:, None], v, out=prod)
-        innov -= prod
+            np.matmul(v, self.ham_t, prod)
+            np.multiply(u[:, None], prod, prod)
+            np.add(drift, prod, drift)
+        np.matmul(v, self.lin_t, innov)
+        np.multiply(self.tr_col, v, prod)
+        np.subtract(innov, prod, innov)
         # v + drift * dt + innov * dw, in that order
-        drift *= self.dt
-        drift += v
-        innov *= dw[:, None]
-        drift += innov
+        np.multiply(drift, self.dt_c, drift)
+        np.add(drift, v, drift)
+        np.multiply(innov, dw[:, None], innov)
+        np.add(drift, innov, drift)
         out, magnitude = _project_batch(drift, self.dim, self.tol, w)
-        return out[:rows], self.tr_meas, magnitude[:rows]
+        return out[:rows], self.tr_meas, self.no_clip if magnitude is w.zeros else magnitude[:rows]
 
 
 def em_step(
@@ -400,6 +420,7 @@ def _run_em_batch(
     cfg: IntegratorConfig,
     rngs: list,
     record,
+    signals: bool = True,
 ) -> None:
     """Step one trajectory per generator as one batch.
 
@@ -410,7 +431,9 @@ def _run_em_batch(
     sqrt(dt), into a (steps, rows) slab whose rows are the steps' increments.
     At each of ``cfg.checkpoint_times``
     ``record(*rows)`` gets that checkpoint's per-row arrays of the
-    ``TrajectoryRecord`` fields after ``times``, in their order.
+    ``TrajectoryRecord`` fields after ``times``, in their order.  Without
+    ``signals`` the noise and measurement sums are not kept and ``record``
+    gets None for ``dW_draws`` and ``measurement_record``.
     """
     rows = len(rngs)
     kernel = _EulerMaruyamaKernel(model, cfg, rows)
@@ -422,43 +445,48 @@ def _run_em_batch(
     v = np.tile(rho0.reshape(-1), (rows, 1))
     noise = np.empty((rows, min(block, n_steps)))
     slab = np.empty((SLAB_STEPS, rows))
+    slab_rows = list(slab)
     y_step = np.empty(rows)
 
     def checkpoint():
         # the step reuses its arrays and the accumulators are updated in
         # place, so a record keeps copies
         states = v.reshape(rows, *rho0.shape).copy()
-        record(states, entropy_of_states(states), dw_acc.copy(), rep_acc.copy(), y_acc.copy())
+        dw, y = (dw_acc.copy(), y_acc.copy()) if signals else (None, None)
+        record(states, entropy_of_states(states), dw, rep_acc.copy(), y)
 
     dw_acc = np.zeros(rows)
     rep_acc = np.zeros(rows)
     y_acc = np.zeros(rows)
     checkpoint()
-    for step in range(1, n_steps + 1):
-        j = (step - 1) % block
-        if j == 0:
-            drawn = wiener_increment(rngs, cfg.dt, out=noise[:, :min(block, n_steps + 1 - step)])
-        k = j % SLAB_STEPS
-        if k == 0:
+    step, next_checkpoint = 0, stride
+    for start in range(0, n_steps, block):
+        drawn = wiener_increment(rngs, cfg.dt, out=noise[:, :min(block, n_steps - start)])
+        for j in range(0, drawn.shape[1], SLAB_STEPS):
             cols = drawn[:, j:j + SLAB_STEPS]
             np.multiply(cols.T, sqrt_dt, out=slab[:cols.shape[1]])
-        dw = slab[k]
-        try:
-            v, tr_meas, mags = kernel.step(v, dw)
-        except IntegrationError as err:
-            err.step = step
-            err.args = (f"step {step} (t={step * cfg.dt:.6g}): {err}",)
-            raise
-        np.multiply(tr_meas, cfg.dt, out=y_step)
-        y_acc += y_step
-        y_acc += dw
-        dw_acc += dw
-        # a row that does not clip adds +0.0, which changes no bit of the nonnegative sums
-        rep_acc += mags
-        if step % stride == 0:
-            checkpoint()
-            dw_acc[:] = 0.0
-            rep_acc[:] = 0.0
+            for dw in slab_rows[:cols.shape[1]]:
+                step += 1
+                try:
+                    v, tr_meas, mags = kernel.step(v, dw)
+                except IntegrationError as err:
+                    err.step = step
+                    err.args = (f"step {step} (t={step * cfg.dt:.6g}): {err}",)
+                    raise
+                if signals:
+                    np.multiply(tr_meas, cfg.dt, out=y_step)
+                    y_acc += y_step
+                    y_acc += dw
+                    dw_acc += dw
+                # a row that does not clip adds +0.0, which changes no bit of
+                # the nonnegative sums, so a step where no row clips adds nothing
+                if mags is not kernel.no_clip:
+                    rep_acc += mags
+                if step == next_checkpoint:
+                    checkpoint()
+                    next_checkpoint += stride
+                    dw_acc[:] = 0.0
+                    rep_acc[:] = 0.0
 
 
 def simulate_trajectory(

@@ -687,16 +687,26 @@ class TestWorkerEnvDefault:
         cfg = load_config(str(path), default_workers=int(os.environ["ENTROFLUX_WORKERS"]))
         assert cfg.ensemble.worker_count == 3
 
-    def test_invalid_env_var_is_config_error(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path / "c.json")
+    def test_invalid_env_var_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # neither the config nor --workers gives a count, so the variable is read
+        ensemble = {"n_trajectories": 40, "master_seed": 42,
+                    "integrator": {"dt": 0.001, "t_final": 0.3, "record_stride": 30}}
+        cfg = write_config(tmp_path / "c.json", ensemble=ensemble)
         monkeypatch.setenv("ENTROFLUX_WORKERS", "many")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "ENTROFLUX_WORKERS must be an integer, got 'many'" in capsys.readouterr().err
 
     def test_workers_option_leaves_env_var_unread(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "c.json")
         monkeypatch.setenv("ENTROFLUX_WORKERS", "many")
         assert main(["simulate", "--config", cfg, "--workers", "1",
                      "--out", str(tmp_path / "o")]) == 0
+
+    def test_config_worker_count_leaves_env_var_unread(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "c.json")  # "worker_count": 1
+        monkeypatch.setenv("ENTROFLUX_WORKERS", "many")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "ensemble.csv").exists()
 
 
 def _with_integrator(path, emit=("ensemble",), **integrator):

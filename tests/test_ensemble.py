@@ -109,6 +109,34 @@ def test_d4_statistics_do_not_depend_on_worker_count():
         assert stats.flagged_trajectories == runs[0].flagged_trajectories
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", ["readme_d2", "d4"])
+def test_statistics_do_not_depend_on_a_trajectory_sink(case, workers):
+    # a run without a sink keeps no noise or measurement sums; every
+    # statistic must keep its bits.  300 rows are two spans on 2 workers.
+    if case == "d4":
+        rng = np.random.default_rng(4)
+        model = ModelSpec(dim=4, hamiltonian=random_hermitian(4, rng),
+                          probe=random_hermitian(4, rng, scale=0.5),
+                          decoherence=random_operator(4, rng, scale=0.5),
+                          control=ControlLaw(kind="constant", value=0.5))
+        rho0 = random_density(4, min_eig=0.05, seed=3)
+    else:
+        model, rho0 = qubit_model(QubitScenario(kappa=1.0, alpha=6.0)), PLUS
+    cfg = EnsembleConfig(n_trajectories=300, master_seed=11, worker_count=workers,
+                         integrator=IntegratorConfig(dt=1e-3, t_final=0.05, record_stride=10))
+    plain = run_ensemble(model, rho0, cfg)
+    fed = run_ensemble(model, rho0, cfg, trajectory_sink=lambda *args: None)
+    for name in STATISTICS:
+        got, want = getattr(fed, name), getattr(plain, name)
+        assert got.shape == want.shape
+        assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                              np.ascontiguousarray(want).view(np.uint64)), name
+    assert fed.flagged_trajectories == plain.flagged_trajectories
+    assert fed.mean_total_repair == plain.mean_total_repair
+    assert (plain.mean_total_repair > 0.0) == (case == "readme_d2")
+
+
 @pytest.mark.parametrize("n", [1, 255, 257, 513, 5000, 40000])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_spans_cover_whole_chunks_in_balanced_counts(n, workers):

@@ -641,6 +641,48 @@ class TestQubitStepMatchesReference:
         assert got.value.trajectory == want.value.trajectory == min(bad_rows)
         assert got.value.magnitude == want.value.magnitude
 
+    def test_a_row_that_stops_clipping_reports_a_zero(self):
+        # one workspace across the two repairs, as in a run: row 0 clips in
+        # the first and row 1 in the second, which must report row 0 as +0.0
+        first = np.array([np.diag([1.01, -0.01]), np.diag([0.7, 0.3]), np.diag([0.6, 0.4])])
+        second = np.array([np.diag([0.7, 0.3]), np.diag([1.02, -0.02]), np.diag([0.6, 0.4])])
+        work = integrate._Workspace(3, 2)
+        for batch, clipped in ((first, 0), (second, 1)):
+            v = batch.reshape(3, 4).astype(np.complex128)
+            want, want_mags = reference_project_2x2(v.copy(), 0.1)
+            work.drift[:] = v
+            got, mags = _project_batch(work.drift, 2, 0.1, work)
+            assert same_bits(got, want)
+            assert same_bits(mags, want_mags)
+            assert np.flatnonzero(mags).tolist() == [clipped]
+
+    def test_a_smallest_eigenvalue_of_exactly_zero_is_no_clip(self):
+        # pure states have p == r, so lam_min is exactly 0 and nothing clips
+        v = np.array([np.diag([1.0, 0.0]), np.full((2, 2), 0.5), np.diag([0.6, 0.4])])
+        v = v.reshape(3, 4).astype(np.complex128)
+        want, want_mags = reference_project_2x2(v.copy(), 0.1)
+        work = integrate._Workspace(3, 2)
+        work.drift[:] = v
+        got, mags = _project_batch(work.drift, 2, 0.1, work)
+        assert same_bits(got, want)
+        assert same_bits(mags, want_mags)
+        assert mags is work.zeros
+
+    @pytest.mark.parametrize("bad", ["zero", "nan"])
+    @pytest.mark.parametrize("other", ["clean", "clipped"])
+    def test_a_zero_or_nan_row_is_lost_as_before(self, bad, other):
+        v = np.array([np.diag([0.6, 0.4])] * 4).reshape(4, 4).astype(np.complex128)
+        if other == "clipped":
+            v[1] = np.diag([1.01, -0.01]).reshape(-1)
+        v[2] = 0.0 if bad == "zero" else np.nan
+        with pytest.raises(IntegrationError) as want:
+            reference_project_2x2(v.copy(), 0.1)
+        with pytest.raises(IntegrationError) as got:
+            _project_batch(v.copy(), 2, 0.1)
+        assert str(got.value) == str(want.value) == "state lost all positive mass during a step"
+        assert got.value.trajectory == want.value.trajectory == 2
+        assert got.value.magnitude is want.value.magnitude is None
+
 
 def frozen_project_2x2(v, tol):
     """The 2x2 repair before the step reused its arrays: fresh arrays, no clip-free path."""
