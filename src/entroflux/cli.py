@@ -42,7 +42,6 @@ from .qubit import (
     unconditional_bloch,
     z_threshold,
 )
-from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -211,6 +210,9 @@ def cmd_sweep_alpha(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    # imported here, so that no other command compiles the battery
+    from .selftest import run_selftest
+
     return EXIT_OK if run_selftest() else EXIT_SELFTEST
 
 

@@ -37,15 +37,63 @@ if TYPE_CHECKING:  # pragma: no cover
 FLOOR_DISTORTION_TOL = 1e-8
 
 
-def entropy_from_eigenvalues(w: np.ndarray) -> np.ndarray:
-    """-sum(w ln w) over the last axis with the 0*ln(0) = 0 convention."""
+def entropy_from_eigenvalues(w: np.ndarray, axis: int = -1) -> np.ndarray:
+    """-sum(w ln w) over the eigenvalue axis with the 0*ln(0) = 0 convention."""
     pos = w > 0.0
     safe = np.where(pos, w, 1.0)
-    return -np.sum(np.where(pos, safe * np.log(safe), 0.0), axis=-1)
+    return -np.sum(np.where(pos, safe * np.log(safe), 0.0), axis=axis)
+
+
+# LAPACK's dlamch('E'), the relative precision at which dsterf splits off
+# a negligible off-diagonal entry.
+_LAPACK_EPS = np.finfo(float).eps / 2
+
+
+def _real_2x2_eigenpair(r: np.ndarray) -> np.ndarray:
+    """The eigenvalues zheevd computes for each matrix of a real (..., 2, 2) stack, unsorted.
+
+    numpy's ``eigvalsh`` hands each matrix to LAPACK's zheevd with
+    UPLO='L', which reads only r00, r10 and r11.  For a real r10 its
+    Householder step is the identity, so dsterf gets d = (r00, r11) and
+    e = r10.  dsterf keeps the diagonal when e passes either of its split
+    tests; otherwise dlae2 gives the pair (rt1, rt2).  These are LAPACK's
+    operations in LAPACK's order, so on the build they were checked on the
+    pair, a (2, ...) array, is the one dlasrt then sorts, bit for bit,
+    wherever no entry lies outside about 1e-122..1e146, where LAPACK
+    rescales first.
+    """
+    d1, d2, e = r[..., 0, 0], r[..., 1, 1], r[..., 1, 0]
+    a1, a2 = np.abs(d1), np.abs(d2)
+    ee = e * e
+    split = ((np.abs(e) <= np.sqrt(a1) * np.sqrt(a2) * _LAPACK_EPS)
+             | (ee <= _LAPACK_EPS * _LAPACK_EPS * (a1 * a2)))
+    # dlae2(d1, b, d2) with b = sqrt(e*e); split rows may divide by zero here
+    b = np.sqrt(ee)
+    sm = d1 + d2
+    adf = np.abs(d1 - d2)
+    ab = b + b
+    mx = np.maximum(adf, ab)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.minimum(adf, ab) / mx
+        rt = mx * np.sqrt(1.0 + q * q)
+        # sm + 0.0 is +0 for sm = -0: dlae2 takes the positive root there
+        rt1 = np.copysign(0.5 * (np.abs(sm) + rt), sm + 0.0)
+        big = a1 > a2
+        rt2 = (np.where(big, d1, d2) / rt1) * np.where(big, d2, d1) - (b / rt1) * b
+    rt2 = np.where(sm == 0.0, -0.5 * rt, rt2)
+    return np.stack((np.where(split, d1, rt1), np.where(split, d2, rt2)))
 
 
 def entropy_of_states(states: np.ndarray) -> np.ndarray:
-    """Entropies of a stack of already-validated density matrices."""
+    """Entropies of a stack of already-validated density matrices.
+
+    A 2x2 stack with a real r10, as every state of a real qubit model from
+    a real start has, takes ``_real_2x2_eigenpair``; any other stack
+    ``eigvalsh``.  The entropy adds the pair's two terms, and floating-point
+    addition is commutative, so the pair is not sorted.
+    """
+    if states.shape[-2:] == (2, 2) and not states[..., 1, 0].imag.any():
+        return entropy_from_eigenvalues(_real_2x2_eigenpair(states.real), axis=0)
     return entropy_from_eigenvalues(np.linalg.eigvalsh(states))
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -674,6 +676,15 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert "FAIL density-validation" in out
         assert "counterexample" in out
+
+    def test_other_commands_do_not_import_the_battery(self):
+        # a fresh interpreter: this one has imported selftest already
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, entroflux.cli; print('entroflux.selftest' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "False\n"
 
 
 class TestWorkerEnvDefault:

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from test_bench_contract import PINNED_BUILD, _blas
 
 from entroflux.ensemble import EnsembleConfig, EnsembleStatistics, run_ensemble
 from entroflux.entropy import (
+    _LAPACK_EPS,
     EntropyBoundReport,
+    _real_2x2_eigenpair,
     build_bound_report,
     certifies_entropy_nondecreasing,
     dissipator_entropy_gap,
+    entropy_from_eigenvalues,
+    entropy_of_states,
     entropy_rate_bound,
     entropy_rate_estimate,
     ito_correction_terms,
@@ -16,7 +21,7 @@ from entroflux.entropy import (
     quantumness,
     von_neumann_entropy,
 )
-from entroflux.integrate import IntegratorConfig
+from entroflux.integrate import IntegratorConfig, _run_em_batch
 from entroflux.linalg import (
     ValidationError,
     dagger,
@@ -151,6 +156,12 @@ class TestDissipatorEntropyGap:
             rho = random_density(d, min_eig=1e-3, seed=trial)
             assert dissipator_entropy_gap(a, rho) >= -1e-9
 
+    def test_a_too_singular_state_is_refused(self):
+        # the 1e-6 floor would lift the zero eigenvalue's 0 ln 0 = 0 to 1.382e-05
+        with pytest.raises(ValidationError, match=r"state too singular: eigenvalue floor "
+                           r"1\.0e-06 would shift its entropy by 1\.382e-05"):
+            dissipator_entropy_gap(np.diag([1.0, -1.0]), np.diag([1.0, 0.0]), floor=1e-6)
+
 
 class TestItoCorrectionTerms:
     def test_maximally_mixed_probe_z(self):
@@ -199,6 +210,11 @@ class TestLogInequalityGap:
             for seed in range(1000):
                 rho = random_density(d, min_eig=1e-3, seed=seed)
                 assert log_inequality_gap(rho) >= -1e-9
+
+    def test_a_too_singular_state_is_refused(self):
+        with pytest.raises(ValidationError, match=r"state too singular: eigenvalue floor "
+                           r"1\.0e-06 would shift its entropy by 1\.382e-05"):
+            log_inequality_gap(np.diag([1.0, 0.0]), floor=1e-6)
 
 
 class TestRateBound:
@@ -407,3 +423,109 @@ class TestBoundReport:
         assert late.sum() == 11
         assert np.all(np.abs(report.lhs_rate[late]) <= 1e-6)
         assert np.all(report.rhs_bound[late] <= 0.0)
+
+
+def _symmetric(d1, d2, e):
+    m = np.empty(np.broadcast(d1, d2, e).shape + (2, 2))
+    m[..., 0, 0], m[..., 1, 1], m[..., 1, 0], m[..., 0, 1] = d1, d2, e, e
+    return m
+
+
+def _real_qubit_stacks():
+    """Real symmetric 2x2 stacks by family, each reaching a branch of LAPACK's 2x2 arithmetic."""
+    n = 20000
+    rng = np.random.default_rng(29)
+    p = rng.uniform(0.0, 1.0, n)
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    sign = rng.choice([-1.0, 1.0], n)
+    radius = 1.0 - 10.0 ** rng.uniform(-17.0, 0.0, n)
+    i, j = rng.integers(-2 ** 20, 2 ** 20, (2, n)) * 2.0 ** -20
+    # e a few ulp either side of dsterf's split threshold sqrt|d1| sqrt|d2| eps
+    q = rng.uniform(0.0, 1.0, (256, 1))
+    near_split = (np.sqrt(q) * np.sqrt(q) * _LAPACK_EPS) * (1.0 + np.arange(-64, 65) * 2.0 ** -52)
+    return {
+        "normal": _symmetric(*rng.standard_normal((3, n))),
+        "small integers": _symmetric(*rng.integers(-4, 5, (3, n)).astype(float)),
+        "pure": _symmetric((1 + np.sin(theta)) / 2, (1 - np.sin(theta)) / 2, np.cos(theta) / 2),
+        "near pure": _symmetric((1 + radius * np.sin(theta)) / 2, (1 - radius * np.sin(theta)) / 2,
+                                radius * np.cos(theta) / 2),
+        "tiny off-diagonal": _symmetric(p, 1 - p, sign * 10.0 ** rng.uniform(-320.0, -1.0, n)),
+        "zero off-diagonal": _symmetric(np.r_[p, 0.0, -0.0], np.r_[1 - p, -0.0, 0.0],
+                                        np.r_[sign * 0.0, 0.0, -0.0]),
+        "equal diagonals": _symmetric(p, p, sign * 10.0 ** rng.uniform(-20.0, 0.0, n)),
+        "split threshold": _symmetric(q, q, near_split),
+        "|d1 - d2| = 2|e|": _symmetric(i, j, sign * (i - j) / 2),
+        "zero trace": _symmetric(p, -p, rng.standard_normal(n)),
+        "signed zero diagonal": _symmetric(np.r_[-np.zeros(n), np.zeros(n)], -np.zeros(2 * n),
+                                           np.r_[sign, -sign]),
+    }
+
+
+REAL_QUBIT_STACKS = _real_qubit_stacks()
+
+on_the_pinned_build = pytest.mark.skipif(
+    (np.__version__, _blas()) != PINNED_BUILD,
+    reason="the closed form repeats LAPACK's operations; other builds may round them otherwise")
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _eigvalsh(r):
+    """``_real_2x2_eigenpair`` sorted as dlasrt sorts: swapped only when the second is smaller."""
+    x1, x2 = _real_2x2_eigenpair(r)
+    swap = x2 < x1
+    return np.stack((np.where(swap, x2, x1), np.where(swap, x1, x2)), axis=-1)
+
+
+class TestRealQubitEigenvalues:
+    @on_the_pinned_build
+    @pytest.mark.parametrize("family", REAL_QUBIT_STACKS)
+    def test_every_bit_is_eigvalsh(self, family):
+        m = REAL_QUBIT_STACKS[family]
+        want = np.linalg.eigvalsh(m.astype(complex))
+        np.testing.assert_array_equal(_bits(_eigvalsh(m)), _bits(want))
+        np.testing.assert_array_equal(_bits(entropy_of_states(m.astype(complex))),
+                                      _bits(entropy_from_eigenvalues(want)))
+
+    @on_the_pinned_build
+    def test_every_checkpoint_of_a_readme_run_is_eigvalsh_bit_for_bit(self):
+        kept = []
+        rngs = [np.random.default_rng(seed) for seed in range(256)]
+        _run_em_batch(qubit_model(QubitScenario(kappa=1.0, alpha=6.0)),
+                      bloch_to_density((1.0, 0.0, 0.0)),
+                      IntegratorConfig(dt=1e-3, t_final=3.0, record_stride=30),
+                      rngs, lambda *record: kept.append(record[:2]))
+        states = np.stack([s for s, _ in kept])
+        entropies = np.stack([h for _, h in kept])
+        assert states.shape == (101, 256, 2, 2) and not states.imag.any()
+        want = np.linalg.eigvalsh(states)
+        np.testing.assert_array_equal(_bits(_eigvalsh(states.real)), _bits(want))
+        np.testing.assert_array_equal(_bits(entropies), _bits(entropy_from_eigenvalues(want)))
+
+    @pytest.mark.parametrize("family", REAL_QUBIT_STACKS)
+    def test_within_a_few_ulp_of_eigvalsh(self, family):
+        m = REAL_QUBIT_STACKS[family]
+        got = _eigvalsh(m)
+        want = np.linalg.eigvalsh(m.astype(complex))
+        scale = np.abs(m).max(axis=(-2, -1))[..., None]
+        assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * scale)
+
+    def test_exact_on_pure_poles_and_zero_off_diagonals(self):
+        poles = np.stack([bloch_to_density(b).real for b in
+                          [(1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)]])
+        np.testing.assert_array_equal(_eigvalsh(poles), [[0.0, 1.0]] * 4)
+        m = REAL_QUBIT_STACKS["zero off-diagonal"]
+        np.testing.assert_array_equal(_eigvalsh(m),
+                                      np.sort(np.diagonal(m, axis1=-2, axis2=-1), axis=-1))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_complex_and_larger_stacks_take_eigvalsh(self, d):
+        states = np.stack([random_density(d, seed=s) for s in range(200)])
+        assert states.imag.any()
+        # at d > 2 a real stack takes eigvalsh too
+        for stack in [states] if d == 2 else [states, states.real.astype(complex)]:
+            np.testing.assert_array_equal(
+                _bits(entropy_of_states(stack)),
+                _bits(entropy_from_eigenvalues(np.linalg.eigvalsh(stack))))
