@@ -945,6 +945,32 @@ class TestIntegrateMasterEquation:
             spec, rho0, IntegratorConfig(dt=1e-3, t_final=1.0, record_stride=200))
         assert np.max(np.abs(coarse.states - fine.states)) <= 1e-8
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matches_a_per_step_rk4_loop(self, dim):
+        # a wrong RK4 coefficient moves a state by order dt^3 or dt^4 per
+        # step, far above 1e-12; the closed-form oracles above allow 1e-6
+        rng = np.random.default_rng(dim)
+        spec = ModelSpec(dim=dim, hamiltonian=random_hermitian(dim, rng),
+                         probe=random_operator(dim, rng, scale=0.5),
+                         decoherence=random_operator(dim, rng, scale=0.5))
+        rho0 = random_density(dim, seed=dim)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.05, record_stride=7)  # 50 steps
+        gen, dt = spec.generator(0.5), cfg.dt
+        v = rho0.reshape(-1)
+        want = [rho0]
+        for step in range(1, cfg.n_steps + 1):
+            k1 = gen @ v
+            k2 = gen @ (v + 0.5 * dt * k1)
+            k3 = gen @ (v + 0.5 * dt * k2)
+            k4 = gen @ (v + dt * k3)
+            v = v + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if step % cfg.record_stride == 0:
+                m = v.reshape(dim, dim)
+                want.append(0.5 * (m + m.conj().T))
+        rec = integrate_master_equation(spec, rho0, cfg, u_fixed=0.5)
+        assert len(rec.states) == len(want) == 8
+        np.testing.assert_allclose(rec.states, want, rtol=0, atol=1e-12)
+
     def test_divergence_raises_cleanly(self):
         spec = ModelSpec(dim=2, hamiltonian=SIGMA_Y.copy(),
                          probe=np.zeros((2, 2), dtype=complex),
