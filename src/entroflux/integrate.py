@@ -335,7 +335,7 @@ class _EulerMaruyamaKernel:
             self.bloch_gain = law.gain
             self.ham_t = model.feedback_superop.T.copy()
         l = model.probe
-        self.drift_t = model.generator(law.value if law.kind == "constant" else 0.0).T.copy()
+        self.drift_t = model.generator.T.copy()
         self.lin_t = model.measurement_superop.T.copy()
         self.k_meas = (l + dagger(l)).T.reshape(-1).copy()
         self.work = _Workspace(max(rows, 2), self.dim)
@@ -512,18 +512,19 @@ def integrate_master_equation(
     model: ModelSpec,
     rho0,
     cfg: IntegratorConfig,
-    u_fixed: float = 0.0,
 ) -> TrajectoryRecord:
     """Integrate the unconditional master equation with classical RK4.
 
-    The control input is held at ``u_fixed``, so the generator G is
-    linear and one RK4 step of h = dt is S = I + hG(I + hG/2 (I + hG/3
-    (I + hG/4))); each checkpoint applies S^record_stride once.  Records
-    carry zero noise and repair columns so the result is interchangeable
-    with trajectory records.
+    The model's control law must fix the input, so the generator G =
+    ``model.generator`` is linear and one RK4 step of h = dt is
+    S = I + hG(I + hG/2 (I + hG/3 (I + hG/4))); each checkpoint applies
+    S^record_stride once.  Records carry zero noise and repair columns so
+    the result is interchangeable with trajectory records.
     """
+    if model.control.kind == "bloch_x_proportional":
+        raise ValidationError("master equation needs a control law that does not read the state")
     rho = _initial_state(model, rho0)
-    hg = cfg.dt * model.generator(u_fixed)
+    hg = cfg.dt * model.generator
     eye = np.eye(len(hg))
     v = rho.reshape(-1).astype(np.complex128)
     states = []

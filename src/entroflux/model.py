@@ -125,8 +125,10 @@ class ModelSpec:
         m = self.decoherence
         return dagger(m) @ m - m @ dagger(m)
 
-    def generator(self, u: float) -> np.ndarray:
-        """Matrix of the master-equation right-hand side at a fixed control input u."""
+    @cached_property
+    def generator(self) -> np.ndarray:
+        """D[L] + D[M], plus u (-i[H, .]) under a "constant" law of value u."""
+        u = self.control.value if self.control.kind == "constant" else 0.0
         if u != 0.0:
             return self.dissipative_superop + u * self.feedback_superop
         return self.dissipative_superop
@@ -168,14 +170,14 @@ def sme_increment(model: ModelSpec, rho, dt: float, dW: float) -> np.ndarray:
     return lindblad_rhs(model, r) * dt + innovation(model.probe, r) * dW
 
 
-def lindblad_rhs(model: ModelSpec, rho, u_override: float | None = None) -> np.ndarray:
+def lindblad_rhs(model: ModelSpec, rho) -> np.ndarray:
     """Right-hand side of the unconditional master equation.
 
-    -i[uH, rho] + D[L] rho + D[M] rho, with ``u_override`` taking
-    precedence over the model's control law.  Linear in rho for fixed u.
+    -i[uH, rho] + D[L] rho + D[M] rho with u = evaluate_control(model.control,
+    rho).  Linear in rho under a law that fixes u.
     """
     r = validate_density(rho)
-    u = float(u_override) if u_override is not None else evaluate_control(model.control, r)
+    u = evaluate_control(model.control, r)
     out = dissipator(model.probe, r) + dissipator(model.decoherence, r)
     if u != 0.0:
         h = model.hamiltonian

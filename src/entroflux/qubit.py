@@ -102,7 +102,7 @@ def z_threshold(alpha: float) -> float:
     bound nonnegative for the qubit model.  Written in the cancellation-
     free form 8 / (sqrt(alpha^2 + 64) + alpha).
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValidationError("alpha must be nonnegative")
     if alpha > 1e100:
         # alpha * alpha overflows above about 1.3e154; from 1e100 up, where
@@ -113,14 +113,14 @@ def z_threshold(alpha: float) -> float:
 
 def dephasing_x(x0: float, kappa: float, t: float) -> float:
     """Bloch-x under pure dephasing: x0 exp(-2 kappa t)."""
-    if t < 0:
+    if not t >= 0:
         raise ValidationError("t must be nonnegative")
     return x0 * math.exp(-2.0 * kappa * t)
 
 
 def decay_z(z0: float, gamma: float, t: float) -> float:
     """Bloch-z under pure decay toward the ground state: -1 + (z0 + 1) exp(-gamma t)."""
-    if t < 0:
+    if not t >= 0:
         raise ValidationError("t must be nonnegative")
     return -1.0 + (z0 + 1.0) * math.exp(-gamma * t)
 
@@ -132,7 +132,7 @@ def unconditional_bloch(scenario: QubitScenario, b0, t: float) -> BlochVector:
     dz/dt = -gamma (1 + z); exact for any rates, so usable where an
     explicit integrator would be stiff.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValidationError("t must be nonnegative")
     x0, y0, z0 = (float(c) for c in b0)
     transverse = math.exp(-(2.0 * scenario.kappa + 0.5 * scenario.gamma) * t)
@@ -149,7 +149,7 @@ def threshold_consistency(scenario: QubitScenario, z: float) -> bool:
     Evaluates the condition at the axial state with Bloch z and compares
     with z >= z_threshold(alpha); the two must agree for every z.
     """
-    if abs(z) > 1.0:
+    if not abs(z) <= 1.0:
         raise ValidationError("z must lie in [-1, 1]")
     if scenario.kappa <= 0:
         raise ValidationError("threshold comparison requires kappa > 0")

@@ -64,15 +64,16 @@ def suite_superoperator_contracts() -> None:
                 raise _Counterexample(f"{name} trace {np.trace(out):.2e} (trial {trial})")
             if linalg.hermiticity_defect(out) > 1e-12:
                 raise _Counterexample(f"{name} not Hermitian (trial {trial})")
-    spec = qubit.qubit_model(qubit.QubitScenario(kappa=1.0, alpha=2.0))
+    law = model.ControlLaw("constant", 0.3)
+    spec = qubit.qubit_model(qubit.QubitScenario(kappa=1.0, alpha=2.0, control=law))
     for trial in range(100):
         r1 = linalg.random_density(2, min_eig=0.0, seed=trial)
         r2 = linalg.random_density(2, min_eig=0.0, seed=10_000 + trial)
         lam = float(rng.uniform())
         mix = lam * r1 + (1.0 - lam) * r2
-        lhs = model.lindblad_rhs(spec, mix, u_override=0.3)
-        rhs = lam * model.lindblad_rhs(spec, r1, u_override=0.3) + \
-            (1.0 - lam) * model.lindblad_rhs(spec, r2, u_override=0.3)
+        lhs = model.lindblad_rhs(spec, mix)
+        rhs = lam * model.lindblad_rhs(spec, r1) + \
+            (1.0 - lam) * model.lindblad_rhs(spec, r2)
         if np.max(np.abs(lhs - rhs)) > 1e-12:
             raise _Counterexample(f"generator not linear (trial {trial})")
 

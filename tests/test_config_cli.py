@@ -651,6 +651,15 @@ class TestSweepAlphaCommand:
         assert main(["sweep-alpha", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "sweep.csv").exists()
 
+    def test_requires_a_qubit_scenario(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", scenario=_explicit_scenario(),
+                           sweep={"alphas": [6.0]})
+        out = tmp_path / "run"
+        assert main(["sweep-alpha", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: sweep-alpha requires a qubit scenario config\n")
+        assert not out.exists()
+
     def test_requires_sweep_section(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
         assert main(["sweep-alpha", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -698,14 +707,41 @@ class TestWorkerEnvDefault:
         cfg = load_config(str(path), default_workers=int(os.environ["ENTROFLUX_WORKERS"]))
         assert cfg.ensemble.worker_count == 3
 
-    def test_invalid_env_var_is_config_error(self, tmp_path, monkeypatch, capsys):
+    @staticmethod
+    def no_worker_count(tmp_path):
         # neither the config nor --workers gives a count, so the variable is read
         ensemble = {"n_trajectories": 40, "master_seed": 42,
                     "integrator": {"dt": 0.001, "t_final": 0.3, "record_stride": 30}}
-        cfg = write_config(tmp_path / "c.json", ensemble=ensemble)
+        return write_config(tmp_path / "c.json", ensemble=ensemble)
+
+    def test_invalid_env_var_is_config_error(self, tmp_path, monkeypatch, capsys):
+        cfg = self.no_worker_count(tmp_path)
         monkeypatch.setenv("ENTROFLUX_WORKERS", "many")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "ENTROFLUX_WORKERS must be an integer, got 'many'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env, workers", [("2", 2), (None, 1)])
+    def test_main_runs_on_the_env_worker_count(self, tmp_path, monkeypatch, env, workers):
+        seen, real = [], cli.run_ensemble
+
+        def spy(spec, rho0, ens, **kwargs):
+            seen.append(ens.worker_count)
+            return real(spec, rho0, ens, **kwargs)
+
+        monkeypatch.setattr(cli, "run_ensemble", spy)
+        if env is None:
+            monkeypatch.delenv("ENTROFLUX_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("ENTROFLUX_WORKERS", env)
+        cfg = self.no_worker_count(tmp_path)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert seen == [workers]
+
+    def test_zero_env_workers_exit_two(self, tmp_path, monkeypatch, capsys):
+        cfg = self.no_worker_count(tmp_path)
+        monkeypatch.setenv("ENTROFLUX_WORKERS", "0")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "ENTROFLUX_WORKERS must be >= 1, got 0" in capsys.readouterr().err
 
     def test_workers_option_leaves_env_var_unread(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "c.json")
@@ -796,6 +832,32 @@ def _config_with(path, leaf, value):
     node[last] = value
     path.write_text(json.dumps(raw))
     return str(path)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"ensemble": []}, "ensemble must be a mapping, got list"),
+    ({"scenario": {"kind": "spin"}},
+     "scenario.kind must be one of ('qubit', 'explicit'), got 'spin'"),
+    ({"scenario": {"kind": "qubit", "kappa": 1.0, "alpha": 6.0, "control": {"kind": "pid"}}},
+     "scenario.control.kind must be one of ('zero', 'constant', 'bloch_x_proportional'), "
+     "got 'pid'"),
+    ({"ensemble": {"n_trajectories": 2.5, "integrator": {"dt": 0.001, "t_final": 0.3}}},
+     "ensemble.n_trajectories must be an integer, got 2.5"),
+    ({"initial_state": {"bloch": [0.0, 1.0]}}, "initial_state.bloch must be a list of 3 entries"),
+    ({"sweep": {"alphas": []}}, "sweep.alphas must be a non-empty list"),
+    ({"scenario": _explicit_scenario(dim=1)}, "scenario.dim must be >= 2"),
+    ({"output_path": 3}, "output_path must be a string"),
+    ({"sweep": {"alphas": [-1.0]}}, "sweep.alphas[0] must be nonnegative, got -1.0"),
+    ({"initial_state": {"bloch": [0, 0, 1], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}},
+     "initial_state needs exactly one of 'bloch' or 'matrix'"),
+    ({"initial_state": {}}, "initial_state needs exactly one of 'bloch' or 'matrix'"),
+], ids=["ensemble-list", "scenario-kind", "control-kind", "fractional-count", "short-bloch",
+        "no-alphas", "dim-one", "numeric-output-path", "negative-alpha", "both-states",
+        "no-state"])
+def test_load_config_rejects(tmp_path, overrides, message):
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path / "c.json", **overrides))
+    assert str(err.value) == message
 
 
 class TestNumberRule:

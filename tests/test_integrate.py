@@ -25,6 +25,7 @@ from entroflux.linalg import (
     random_density,
     random_hermitian,
     random_operator,
+    trace_distance,
     validate_density,
 )
 from entroflux.model import (
@@ -152,7 +153,7 @@ class TestSuperoperators:
         cfg = IntegratorConfig(dt=1e-3, t_final=0.01, record_stride=5)
         integrate._EulerMaruyamaKernel(spec, cfg, 1)
         integrate._EulerMaruyamaKernel(spec, cfg, 256)
-        integrate_master_equation(spec, random_density(4, seed=1), cfg, u_fixed=0.5)
+        integrate_master_equation(spec, random_density(4, seed=1), cfg)
         assert len(calls) == 2
 
 
@@ -952,10 +953,11 @@ class TestIntegrateMasterEquation:
         rng = np.random.default_rng(dim)
         spec = ModelSpec(dim=dim, hamiltonian=random_hermitian(dim, rng),
                          probe=random_operator(dim, rng, scale=0.5),
-                         decoherence=random_operator(dim, rng, scale=0.5))
+                         decoherence=random_operator(dim, rng, scale=0.5),
+                         control=ControlLaw("constant", 0.5))
         rho0 = random_density(dim, seed=dim)
         cfg = IntegratorConfig(dt=1e-3, t_final=0.05, record_stride=7)  # 50 steps
-        gen, dt = spec.generator(0.5), cfg.dt
+        gen, dt = spec.generator, cfg.dt
         v = rho0.reshape(-1)
         want = [rho0]
         for step in range(1, cfg.n_steps + 1):
@@ -967,9 +969,27 @@ class TestIntegrateMasterEquation:
             if step % cfg.record_stride == 0:
                 m = v.reshape(dim, dim)
                 want.append(0.5 * (m + m.conj().T))
-        rec = integrate_master_equation(spec, rho0, cfg, u_fixed=0.5)
+        rec = integrate_master_equation(spec, rho0, cfg)
         assert len(rec.states) == len(want) == 8
         np.testing.assert_allclose(rec.states, want, rtol=0, atol=1e-12)
+
+    def test_tracks_a_constant_control_ensemble(self):
+        # the oracle integrates the model's own law: without the constant
+        # input of 0.5 the mean drifts about 0.09 away by t = 0.6
+        spec, rho0 = d4_spec(), random_density(4, min_eig=0.05, seed=3)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.6, record_stride=100)
+        stats = run_ensemble(spec, rho0, EnsembleConfig(
+            n_trajectories=512, master_seed=7, integrator=cfg))
+        oracle = integrate_master_equation(spec, rho0, cfg)
+        dist = [trace_distance(m, o) for m, o in zip(stats.mean_state, oracle.states)]
+        assert len(dist) == 7
+        assert max(dist) <= 0.04
+
+    def test_refuses_a_law_that_reads_the_state(self):
+        spec = qubit_spec(control=ControlLaw(kind="bloch_x_proportional", gain=5.0))
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.01)
+        with pytest.raises(ValidationError, match="does not read the state"):
+            integrate_master_equation(spec, KET0, cfg)
 
     def test_divergence_raises_cleanly(self):
         spec = ModelSpec(dim=2, hamiltonian=SIGMA_Y.copy(),

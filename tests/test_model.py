@@ -142,7 +142,7 @@ class TestSmeIncrement:
         for dw in draws:
             mean_inc += sme_increment(spec, rho, dt=dt, dW=float(dw))
         mean_inc /= len(draws)
-        drift = lindblad_rhs(spec, rho, u_override=0.0) * dt
+        drift = lindblad_rhs(spec, rho) * dt
         # noise floor: |H[L]rho| * se(mean dW), with 5 sigma headroom
         se = np.sqrt(dt / len(draws))
         assert np.max(np.abs(mean_inc - drift)) <= 5.0 * 2.0 * se
@@ -152,7 +152,7 @@ class TestLindbladRhs:
     def test_dephasing_rate(self):
         spec = qubit_spec(kappa=1.0, gamma=0.0)
         x = 0.8
-        rhs = lindblad_rhs(spec, bloch_to_density((x, 0, 0)), u_override=0.0)
+        rhs = lindblad_rhs(spec, bloch_to_density((x, 0, 0)))
         dx_dt = np.trace(SIGMA_X @ rhs).real
         assert dx_dt == pytest.approx(-2.0 * x, abs=1e-12)
 
@@ -162,7 +162,7 @@ class TestLindbladRhs:
             probe=np.zeros((2, 2), dtype=complex), decoherence=SIGMA_MINUS.copy(),
         )
         z = 0.25
-        rhs = lindblad_rhs(spec, bloch_to_density((0, 0, z)), u_override=0.0)
+        rhs = lindblad_rhs(spec, bloch_to_density((0, 0, z)))
         dz_dt = np.trace(SIGMA_Z @ rhs).real
         assert dz_dt == pytest.approx(-(1.0 + z), abs=1e-12)
 
@@ -171,19 +171,19 @@ class TestLindbladRhs:
             dim=2, hamiltonian=SIGMA_Y.copy(),
             probe=np.zeros((2, 2), dtype=complex), decoherence=SIGMA_MINUS.copy(),
         )
-        rhs = lindblad_rhs(spec, KET1, u_override=0.0)
+        rhs = lindblad_rhs(spec, KET1)
         np.testing.assert_allclose(rhs, np.zeros((2, 2)), atol=1e-14)
 
     def test_linearity_in_state(self):
-        spec = qubit_spec(kappa=1.0, gamma=0.5)
+        spec = qubit_spec(kappa=1.0, gamma=0.5, control=ControlLaw("constant", 0.4))
         for trial in range(100):
             r1 = random_density(2, seed=trial)
             r2 = random_density(2, seed=trial + 500)
             lam = 0.3
             mix = lam * r1 + (1 - lam) * r2
-            lhs = lindblad_rhs(spec, mix, u_override=0.4)
-            rhs = lam * lindblad_rhs(spec, r1, u_override=0.4) + \
-                (1 - lam) * lindblad_rhs(spec, r2, u_override=0.4)
+            lhs = lindblad_rhs(spec, mix)
+            rhs = lam * lindblad_rhs(spec, r1) + \
+                (1 - lam) * lindblad_rhs(spec, r2)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 

@@ -104,9 +104,10 @@ class TestThreshold:
             thr = z_threshold(float(alpha))
             assert abs(4.0 * thr * thr + alpha * thr - 4.0) <= 1e-10
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            z_threshold(-1.0)
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan")])
+    def test_rejects_negative_or_nan(self, alpha):
+        with pytest.raises(ValidationError, match="alpha must be nonnegative"):
+            z_threshold(alpha)
 
 
 class TestAnalyticSolutions:
@@ -141,6 +142,16 @@ class TestAnalyticSolutions:
         b = unconditional_bloch(scen, (0, 0, 1), 0.7)
         assert b.z == pytest.approx(decay_z(1.0, 3.0, 0.7), abs=1e-15)
 
+    @pytest.mark.parametrize("t", [-0.1, float("nan")])
+    @pytest.mark.parametrize("solution", [
+        lambda t: dephasing_x(1.0, 1.0, t),
+        lambda t: decay_z(1.0, 1.0, t),
+        lambda t: unconditional_bloch(QubitScenario(kappa=1.0, alpha=2.0), (1, 0, 0), t),
+    ], ids=["dephasing_x", "decay_z", "unconditional_bloch"])
+    def test_rejects_negative_or_nan_time(self, solution, t):
+        with pytest.raises(ValidationError, match="t must be nonnegative"):
+            solution(t)
+
 
 class TestThresholdConsistency:
     def test_boundary_point(self):
@@ -161,6 +172,7 @@ class TestThresholdConsistency:
         # at this single corner.
         assert not threshold_consistency(QubitScenario(kappa=1.0, alpha=0.0), -1.0)
 
-    def test_requires_physical_z(self):
-        with pytest.raises(ValidationError):
-            threshold_consistency(QubitScenario(kappa=1.0, alpha=1.0), 1.5)
+    @pytest.mark.parametrize("z", [1.5, -1.5, float("nan")])
+    def test_requires_physical_z(self, z):
+        with pytest.raises(ValidationError, match=r"z must lie in \[-1, 1\]"):
+            threshold_consistency(QubitScenario(kappa=1.0, alpha=1.0), z)
