@@ -61,7 +61,9 @@ class IntegratorConfig:
     """Step size, horizon and repair settings for one integration.
 
     ``record_stride`` controls how many steps separate recorded
-    checkpoints; step 0 is always recorded.  The range checks reject NaN.
+    checkpoints; step 0 is always recorded, and a run stops at its last
+    checkpoint.  The range checks reject NaN, and ``t_final / dt`` must be
+    below 2**53 so that every step count is an exact float.
     ``floor`` is validated but has no effect on any run.
     """
 
@@ -79,6 +81,8 @@ class IntegratorConfig:
             raise ValidationError("dt must be positive")
         if not self.dt <= self.t_final < math.inf:
             raise ValidationError("t_final must be finite and at least dt")
+        if not self.t_final / self.dt < 2**53:
+            raise ValidationError("t_final / dt must be below 2**53")
         if not self.floor > 0:
             raise ValidationError("floor must be positive")
         if not self.repair_tolerance > 0:
@@ -89,7 +93,8 @@ class IntegratorConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.t_final / self.dt)))
+        """Steps every runner takes: round(t_final / dt), cut back to the last checkpoint."""
+        return self.record_stride * (round(self.t_final / self.dt) // self.record_stride)
 
     @property
     def checkpoint_times(self) -> np.ndarray:
@@ -143,8 +148,8 @@ def wiener_increment(rng, dt: float, size: int | None = None, out: np.ndarray | 
     returned.  ``sqrt(dt)`` times it has the bits of n increments of each
     generator, which numpy draws as 0.0 + sqrt(dt) * z.
     """
-    if not dt > 0:
-        raise ValidationError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValidationError("dt must be positive and finite")
     if out is not None:
         for row, gen in zip(out, rng):
             gen.standard_normal(out=row)
@@ -423,7 +428,7 @@ def _run_em_batch(
     record,
     signals: bool = True,
 ) -> None:
-    """Step one trajectory per generator as one batch.
+    """Step one trajectory per generator as one batch, ``cfg.n_steps`` steps.
 
     Row b draws its Wiener increments from ``rngs[b]`` into its own
     contiguous run of a (rows, block) array, so the batch never holds more

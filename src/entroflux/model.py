@@ -29,7 +29,9 @@ from .linalg import (
     validate_density,
 )
 
-CONTROL_KINDS = ("zero", "constant", "bloch_x_proportional")
+# the ControlLaw field each kind reads
+_READS = {"zero": None, "constant": "value", "bloch_x_proportional": "gain"}
+CONTROL_KINDS = tuple(_READS)
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,7 @@ class ControlLaw:
 
     kind "zero" returns 0, "constant" returns ``value``, and
     "bloch_x_proportional" returns -gain * Tr(sigma_x rho) and is only
-    defined for two-level systems.
+    defined for two-level systems.  A field the kind does not read must be zero.
     """
 
     kind: str = "zero"
@@ -54,6 +56,8 @@ class ControlLaw:
             x = getattr(self, name)
             if not math.isfinite(x):
                 raise ValidationError(f"control {name} must be finite, got {x!r}")
+            if x != 0 and name != _READS[self.kind]:
+                raise ValidationError(f"control law {self.kind!r} does not read {name}, got {x!r}")
 
 
 def evaluate_control(law: ControlLaw, rho: np.ndarray) -> float:

@@ -42,7 +42,7 @@ def bloch_to_density(b) -> np.ndarray:
     """(I + x sigma_x + y sigma_y + z sigma_z) / 2 for |b| <= 1."""
     x, y, z = (float(c) for c in b)
     norm = math.sqrt(x * x + y * y + z * z)
-    if norm > 1.0 + 1e-10:
+    if not norm <= 1.0 + 1e-10:
         raise ValidationError(f"Bloch vector norm {norm:.12f} exceeds 1")
     return 0.5 * np.array(
         [[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]], dtype=np.complex128

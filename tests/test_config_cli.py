@@ -930,6 +930,17 @@ class TestRulesCheckedBeforeTheRun:
         assert capsys.readouterr().err == "config error: need at least 3 checkpoints, got 2\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "verify-bound", "sweep-alpha"])
+    def test_a_step_count_past_exact_floats_exits_two(self, tmp_path, capsys, no_run, command):
+        # a count of 1e300 steps has no exact checkpoint grid
+        path = _with_integrator(tmp_path / "c.json", dt=1e-300, t_final=1.0)
+        raw = json.loads(Path(path).read_text())
+        raw["sweep"] = {"alphas": [6.0]}
+        Path(path).write_text(json.dumps(raw))
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: t_final / dt must be below 2**53\n"
+        assert not (tmp_path / "o").exists()
+
     def test_simulate_without_a_bound_report_takes_two_checkpoints(self, tmp_path):
         path = _with_integrator(tmp_path / "c.json", t_final=0.019, record_stride=10)
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 0

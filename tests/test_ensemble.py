@@ -297,6 +297,35 @@ def test_failure_is_the_earliest_step_at_any_worker_count():
     assert first_chunk.value.step > step
 
 
+def test_a_failure_past_the_last_checkpoint_is_not_reached():
+    # a run stops at its last checkpoint, so a step that would fail after
+    # it is never taken; the failing trajectory is found on this numpy build
+    model = qubit_model(QubitScenario(kappa=1.0, alpha=0.0))
+    search = IntegratorConfig(dt=1e-3, t_final=0.2, record_stride=200, repair_tolerance=1e-2)
+
+    def failing_step(i):
+        try:
+            simulate_trajectory(model, PLUS, search, trajectory_seed(0, i))
+        except IntegrationError as err:
+            return err.step
+        return None
+
+    traj, step = next((i, s) for i in range(600) if (s := failing_step(i)) is not None and s >= 3)
+    # t_final = (2s - 3) dt is 2s - 3 steps, past the failing step s, but
+    # at stride s - 1 its last checkpoint is step s - 1
+    cut = simulate_trajectory(model, PLUS, IntegratorConfig(
+        dt=1e-3, t_final=(2 * step - 3) * 1e-3, record_stride=step - 1, repair_tolerance=1e-2),
+        trajectory_seed(0, traj))
+    short = simulate_trajectory(model, PLUS, IntegratorConfig(
+        dt=1e-3, t_final=(step - 1) * 1e-3, record_stride=step - 1, repair_tolerance=1e-2),
+        trajectory_seed(0, traj))
+    assert cut.times.tolist() == [0.0, (step - 1) * 1e-3]
+    for name in ("times", "states", "entropies", "dW_draws", "repair_magnitudes",
+                 "measurement_record"):
+        got, want = getattr(cut, name), getattr(short, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
 def test_config_validation():
     with pytest.raises(ValidationError, match="n_trajectories"):
         EnsembleConfig(n_trajectories=0)

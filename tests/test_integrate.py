@@ -115,9 +115,10 @@ class TestWienerIncrement:
         with pytest.raises(ValidationError, match="dt must be positive"):
             wiener_increment(np.random.default_rng(0), 0.0)
 
-    def test_rejects_nan_dt(self):
+    @pytest.mark.parametrize("dt", [float("nan"), math.inf])
+    def test_rejects_nan_dt(self, dt):
         with pytest.raises(ValidationError, match="dt must be positive"):
-            wiener_increment(np.random.default_rng(0), float("nan"))
+            wiener_increment(np.random.default_rng(0), dt)
 
 
 class TestSuperoperators:
@@ -458,9 +459,10 @@ class TestBatchedStepping:
         (0.05, 7, [7] * 7 + [1]),
         # 13-step blocks, each read as slabs of 8 and 5 steps
         (0.05, 13, [13, 13, 13, 11]),
-        # the horizon ends 5 steps into a slab
-        (0.045, None, [45]),
-        (0.045, 13, [13, 13, 13, 6]),
+        # 45 steps end 5 steps past the checkpoint of step 40, which is
+        # where the run stops
+        (0.045, None, [40]),
+        (0.045, 13, [13, 13, 13, 1]),
     ])
     def test_noise_blocks_are_bounded_and_leave_no_trace(self, monkeypatch, t_final,
                                                         budget_steps, sizes):
@@ -1035,16 +1037,32 @@ class TestIntegratorConfig:
 
 
 class TestCheckpointGrid:
-    @pytest.mark.parametrize("t_final, stride", [(0.05, 10), (0.059, 20), (0.001, 5)])
-    def test_every_runner_records_the_config_grid(self, t_final, stride):
+    # a run stops at its last checkpoint: 59 steps at stride 20 are cut to
+    # 40, and a single step at stride 5 to none
+    @pytest.mark.parametrize("t_final, stride, n_steps", [
+        (0.05, 10, 50), (0.059, 20, 40), (0.001, 5, 0)])
+    def test_every_runner_records_the_config_grid(self, monkeypatch, t_final, stride, n_steps):
         cfg = IntegratorConfig(dt=1e-3, t_final=t_final, record_stride=stride)
+        assert cfg.n_steps == n_steps
         # step k * stride at time (k * stride) * dt, bit for bit
-        want = [k * stride * cfg.dt for k in range(cfg.n_steps // stride + 1)]
+        want = [k * stride * cfg.dt for k in range(n_steps // stride + 1)]
         assert cfg.checkpoint_times.tolist() == want
+        calls = []
+        step = integrate._EulerMaruyamaKernel.step
+
+        def counted(kernel, v, dw):
+            calls.append(len(v))
+            return step(kernel, v, dw)
+
+        monkeypatch.setattr(integrate._EulerMaruyamaKernel, "step", counted)
         spec, rho0 = qubit_spec(kappa=1.0, gamma=6.0), bloch_to_density((1, 0, 0))
         rec = simulate_trajectory(spec, rho0, cfg, 0)
+        assert calls == [1] * n_steps
         oracle = integrate_master_equation(spec, rho0, cfg)
-        stats = run_ensemble(spec, rho0, EnsembleConfig(n_trajectories=3, integrator=cfg))
+        calls.clear()
+        stats = run_ensemble(spec, rho0, EnsembleConfig(n_trajectories=3, worker_count=1,
+                                                        integrator=cfg))
+        assert calls == [3] * n_steps
         for times, states in ((rec.times, rec.states), (oracle.times, oracle.states),
                               (stats.times, stats.mean_state)):
             assert times.tolist() == want

@@ -101,6 +101,14 @@ class TestControl:
         with pytest.raises(ValidationError, match=f"control {field} must be finite"):
             ControlLaw(kind="constant", **{field: bad})
 
+    @pytest.mark.parametrize("kind, field", [
+        ("zero", "value"), ("zero", "gain"), ("constant", "gain"),
+        ("bloch_x_proportional", "value")])
+    def test_a_field_the_kind_ignores_is_rejected(self, kind, field):
+        with pytest.raises(ValidationError) as err:
+            ControlLaw(kind=kind, **{field: 0.5})
+        assert str(err.value) == f"control law {kind!r} does not read {field}, got 0.5"
+
 
 class TestSmeIncrement:
     @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan")])

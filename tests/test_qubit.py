@@ -45,6 +45,13 @@ class TestBlochMaps:
         with pytest.raises(ValidationError, match="norm"):
             bloch_to_density((0.9, 0.9, 0.9))
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_rejects_nan(self, axis):
+        b = [0.0, 0.0, 0.0]
+        b[axis] = float("nan")
+        with pytest.raises(ValidationError, match="Bloch vector norm nan exceeds 1"):
+            bloch_to_density(b)
+
     def test_rejects_non_qubit(self):
         with pytest.raises(ValidationError, match="qubit"):
             density_to_bloch(np.eye(3) / 3)
