@@ -19,7 +19,7 @@ import numpy as np
 from .ensemble import EnsembleConfig
 from .integrate import IntegratorConfig
 from .linalg import ValidationError, validate_density
-from .model import ControlLaw, ModelSpec
+from .model import CONTROL_READS, ControlLaw, ModelSpec
 from .qubit import QubitScenario, bloch_to_density, qubit_model
 
 EMIT_KINDS = ("trajectories", "ensemble", "bound_report")
@@ -133,11 +133,8 @@ def _alpha(value, where: str) -> float:
     return alpha
 
 
-_CONTROLS = {
-    "zero": ({}, ()),
-    "constant": ({"value": _real}, ("value",)),
-    "bloch_x_proportional": ({"gain": _real}, ("gain",)),
-}
+_CONTROLS = {kind: ({name: _real}, (name,)) if name else ({}, ())
+             for kind, name in CONTROL_READS.items()}
 
 
 def _control(node, where: str) -> ControlLaw:

@@ -308,8 +308,11 @@ def project_to_physical(m, tol: float = np.inf) -> tuple[np.ndarray, float]:
     """Map a near-density matrix back onto the physical set.
 
     Symmetrizes, clips negative eigenvalues to zero and renormalizes the
-    trace; returns the repaired state and the clipped mass.
+    trace; returns the repaired state and the clipped mass.  A clipped
+    mass beyond ``tol``, which must be positive, raises IntegrationError.
     """
+    if not tol > 0:
+        raise ValidationError("tol must be positive")
     a = as_operator(m, "matrix")
     out, mag = _project_batch(a.reshape(1, -1), a.shape[0], tol)
     return out.reshape(a.shape), float(mag[0])
@@ -320,8 +323,8 @@ def project_to_physical(m, tol: float = np.inf) -> tuple[np.ndarray, float]:
 class _EulerMaruyamaKernel:
     """Precomputed one-step map for a model, a step size and a batch size.
 
-    Constant control inputs are folded into the drift superoperator at
-    build time; the state-proportional law is evaluated per step.  A
+    A law's fixed input is folded into the drift superoperator at build
+    time; a law that reads the state is evaluated per step.  A
     lone row is multiplied as two identical rows: numpy sends a single
     row through another BLAS path than a batch, which for d > 2 changes
     the last bits.  The step's arrays are allocated once, for ``rows``
@@ -334,10 +337,8 @@ class _EulerMaruyamaKernel:
         self.dt = cfg.dt
         self.dt_c = np.array(complex(cfg.dt))  # dt + 0j, as numpy scales a complex drift
         self.tol = cfg.repair_tolerance
-        law = model.control
-        self.bloch_gain = None
-        if law.kind == "bloch_x_proportional":
-            self.bloch_gain = law.gain
+        self.law = model.control if model.control.reads_state else None
+        if self.law is not None:
             self.ham_t = model.feedback_superop.T.copy()
         l = model.probe
         self.drift_t = model.generator.T.copy()
@@ -365,8 +366,8 @@ class _EulerMaruyamaKernel:
         drift, innov, prod = w.drift, w.innov, w.prod
         np.matmul(v, self.k_meas, w.mean)
         np.matmul(v, self.drift_t, drift)
-        if self.bloch_gain is not None:
-            u = -self.bloch_gain * (v[:, 1] + v[:, 2]).real
+        if self.law is not None:
+            u = self.law.of_states(v.reshape(-1, 2, 2))
             np.matmul(v, self.ham_t, prod)
             np.multiply(u[:, None], prod, prod)
             np.add(drift, prod, drift)
@@ -391,15 +392,17 @@ def em_step(
 ) -> TrajectoryState:
     """One Euler-Maruyama step of the conditioned dynamics.
 
-    Draws the Wiener increment from ``rng`` unless ``dW`` is forced.
-    The repaired state, accumulated noise W and measurement record y are
-    advanced together.
+    Draws the Wiener increment from ``rng`` unless ``dW`` is forced, in
+    which case it must be finite.  The repaired state, accumulated noise W
+    and measurement record y are advanced together.
     """
     if dW is None:
         if rng is None:
             raise ValidationError("either rng or a forced dW is required")
         dW = wiener_increment(rng, cfg.dt)
-    rho = validate_density(state.rho)
+    elif not math.isfinite(dW):
+        raise ValidationError("dW must be finite")
+    rho = _initial_state(model, state.rho)
     kernel = _EulerMaruyamaKernel(model, cfg, 1)
     v, tr_meas, _ = kernel.step(rho.reshape(1, -1), np.array([dW]))
     return TrajectoryState(
@@ -526,7 +529,7 @@ def integrate_master_equation(
     S^record_stride once.  Records carry zero noise and repair columns so
     the result is interchangeable with trajectory records.
     """
-    if model.control.kind == "bloch_x_proportional":
+    if model.control.reads_state:
         raise ValidationError("master equation needs a control law that does not read the state")
     rho = _initial_state(model, rho0)
     hg = cfg.dt * model.generator

@@ -30,8 +30,8 @@ from .linalg import (
 )
 
 # the ControlLaw field each kind reads
-_READS = {"zero": None, "constant": "value", "bloch_x_proportional": "gain"}
-CONTROL_KINDS = tuple(_READS)
+CONTROL_READS = {"zero": None, "constant": "value", "bloch_x_proportional": "gain"}
+CONTROL_KINDS = tuple(CONTROL_READS)
 
 
 @dataclass(frozen=True)
@@ -56,22 +56,27 @@ class ControlLaw:
             x = getattr(self, name)
             if not math.isfinite(x):
                 raise ValidationError(f"control {name} must be finite, got {x!r}")
-            if x != 0 and name != _READS[self.kind]:
+            if x != 0 and name != CONTROL_READS[self.kind]:
                 raise ValidationError(f"control law {self.kind!r} does not read {name}, got {x!r}")
+
+    @property
+    def reads_state(self) -> bool:
+        """Whether u depends on the state; otherwise u is ``value`` (zero for "zero")."""
+        return self.kind == "bloch_x_proportional"
+
+    def of_states(self, states: np.ndarray) -> np.ndarray:
+        """-gain * Tr(sigma_x rho) of each state of a (..., 2, 2) stack; unchecked."""
+        return -self.gain * (states[..., 0, 1] + states[..., 1, 0]).real
 
 
 def evaluate_control(law: ControlLaw, rho: np.ndarray) -> float:
     """Evaluate the feedback input for the given conditioned state."""
-    if law.kind == "zero":
-        return 0.0
-    if law.kind == "constant":
+    if not law.reads_state:
         return float(law.value)
-    # bloch_x_proportional
     r = as_operator(rho, "state")
     if r.shape[0] != 2:
         raise ValidationError("bloch_x_proportional control requires a two-level system")
-    x = (r[0, 1] + r[1, 0]).real  # Tr(sigma_x rho)
-    return -law.gain * x
+    return float(law.of_states(r))
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,7 @@ class ModelSpec:
                     f"{name} has shape {op.shape}, expected ({self.dim}, {self.dim})"
                 )
         require_hermitian(h, "hamiltonian is not Hermitian: max asymmetry {:.3e}")
-        if self.control.kind == "bloch_x_proportional" and self.dim != 2:
+        if self.control.reads_state and self.dim != 2:
             raise ValidationError("bloch_x_proportional control requires a two-level system")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "probe", l)
@@ -131,9 +136,9 @@ class ModelSpec:
 
     @cached_property
     def generator(self) -> np.ndarray:
-        """D[L] + D[M], plus u (-i[H, .]) under a "constant" law of value u."""
-        u = self.control.value if self.control.kind == "constant" else 0.0
-        if u != 0.0:
+        """D[L] + D[M], plus u (-i[H, .]) for the law's fixed input u = ``control.value``."""
+        u = self.control.value
+        if u != 0.0:  # adding 0.0 times feedback_superop could turn -0.0 entries to +0.0
             return self.dissipative_superop + u * self.feedback_superop
         return self.dissipative_superop
 

@@ -201,6 +201,14 @@ class TestProjectToPhysical:
             project_to_physical(np.diag([1.5, -0.5]), tol=0.1)
 
     @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
+    def test_tolerance_must_be_positive(self, dim, tol):
+        # a NaN tolerance used to accept any clip, and a negative one to
+        # pass a clean state at d=2 but fail it at d=3
+        with pytest.raises(ValidationError, match="tol must be positive"):
+            project_to_physical(np.eye(dim) / dim, tol=tol)
+
+    @pytest.mark.parametrize("dim", [2, 3])
     def test_batch_failure_names_the_first_failing_row(self, dim):
         # rows 1 and 3 clip beyond tolerance, row 3 by more; reporting the
         # first, not the worst, keeps the named row independent of batching
@@ -318,6 +326,20 @@ class TestEmStep:
         for _ in range(100):
             state = em_step(spec, state, cfg, rng)
         assert sorted(built) == ["hamiltonian_superop", "innovation_superop"]
+
+    def test_state_must_match_the_model(self):
+        cfg = IntegratorConfig(dt=1e-3, t_final=1.0)
+        state = TrajectoryState(t=0.0, rho=np.eye(3) / 3)
+        with pytest.raises(ValidationError) as err:
+            em_step(qubit_spec(), state, cfg, dW=0.01)
+        assert str(err.value) == "initial state dimension 3 does not match model dim 2"
+
+    @pytest.mark.parametrize("dw", [np.nan, np.inf, -np.inf])
+    def test_forced_draw_must_be_finite(self, dw):
+        cfg = IntegratorConfig(dt=1e-3, t_final=1.0)
+        state = TrajectoryState(t=0.0, rho=bloch_to_density((1, 0, 0)))
+        with pytest.raises(ValidationError, match="dW must be finite"):
+            em_step(qubit_spec(), state, cfg, dW=dw)
 
     def test_repair_tolerance_error_carries_magnitude(self):
         spec = qubit_spec(kappa=1.0)
@@ -552,8 +574,8 @@ def reference_step(kernel, v, dw):
     """
     tr_meas = (v @ kernel.k_meas).real
     drift = v @ kernel.drift_t
-    if kernel.bloch_gain is not None:
-        u = -kernel.bloch_gain * (v[:, 1] + v[:, 2]).real
+    if kernel.law is not None:
+        u = -kernel.law.gain * (v[:, 1] + v[:, 2]).real
         drift = drift + u[:, None] * (v @ kernel.ham_t)
     innov = v @ kernel.lin_t - tr_meas[:, None] * v
     return (*reference_project_2x2(v + drift * kernel.dt + innov * dw[:, None], kernel.tol),
@@ -731,8 +753,8 @@ def frozen_step(kernel, v, dw, tr_meas):
     rows = len(v)
     v = np.concatenate((v, v)) if rows == 1 else v
     drift = v @ kernel.drift_t
-    if kernel.bloch_gain is not None:
-        u = -kernel.bloch_gain * (v[:, 1] + v[:, 2]).real
+    if kernel.law is not None:
+        u = -kernel.law.gain * (v[:, 1] + v[:, 2]).real
         drift += u[:, None] * (v @ kernel.ham_t)
     innov = v @ kernel.lin_t
     innov -= tr_meas[:, None] * v
@@ -987,11 +1009,17 @@ class TestIntegrateMasterEquation:
         assert len(dist) == 7
         assert max(dist) <= 0.04
 
-    def test_refuses_a_law_that_reads_the_state(self):
-        spec = qubit_spec(control=ControlLaw(kind="bloch_x_proportional", gain=5.0))
-        cfg = IntegratorConfig(dt=1e-3, t_final=0.01)
-        with pytest.raises(ValidationError, match="does not read the state"):
-            integrate_master_equation(spec, KET0, cfg)
+    @pytest.mark.parametrize("kind", model.CONTROL_KINDS)
+    def test_refuses_exactly_the_laws_that_read_the_state(self, kind):
+        field = model.CONTROL_READS[kind]
+        law = ControlLaw(kind=kind, **({field: 0.5} if field else {}))
+        spec = qubit_spec(control=law)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.01, record_stride=5)
+        if law.reads_state:
+            with pytest.raises(ValidationError, match="does not read the state"):
+                integrate_master_equation(spec, KET0, cfg)
+        else:
+            assert len(integrate_master_equation(spec, KET0, cfg).states) == 3
 
     def test_divergence_raises_cleanly(self):
         spec = ModelSpec(dim=2, hamiltonian=SIGMA_Y.copy(),

@@ -80,6 +80,21 @@ class TestControl:
         law = ControlLaw(kind="bloch_x_proportional", gain=2.0)
         assert evaluate_control(law, plus) == pytest.approx(-2.0)
 
+    def test_bloch_rejects_a_non_finite_state(self):
+        law = ControlLaw(kind="bloch_x_proportional", gain=1.0)
+        rho = MIXED.copy()
+        rho[0, 1] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            evaluate_control(law, rho)
+
+    def test_stack_form_matches_evaluate_control_bit_for_bit(self):
+        law = ControlLaw(kind="bloch_x_proportional", gain=2.7)
+        states = np.stack([random_density(2, seed=i) for i in range(64)]).reshape(4, 16, 2, 2)
+        stacked = law.of_states(states)
+        one_by_one = np.array([[evaluate_control(law, s) for s in row] for row in states])
+        assert stacked.shape == (4, 16)
+        assert np.array_equal(stacked.view(np.uint64), one_by_one.view(np.uint64))
+
     def test_bloch_requires_qubit(self):
         law = ControlLaw(kind="bloch_x_proportional", gain=1.0)
         with pytest.raises(ValidationError, match="two-level"):
