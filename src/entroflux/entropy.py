@@ -20,9 +20,10 @@ from .linalg import (
     ValidationError,
     as_operator,
     check_same_dim,
+    commutator,
     dagger,
-    inverse_density,
-    log_density,
+    hermitian_eig,
+    matrix_function,
     require_hermitian,
     validate_densities,
     validate_density,
@@ -52,15 +53,15 @@ _LAPACK_EPS = np.finfo(float).eps / 2
 def _real_2x2_eigenpair(r: np.ndarray) -> np.ndarray:
     """The eigenvalues zheevd computes for each matrix of a real (..., 2, 2) stack, unsorted.
 
-    numpy's ``eigvalsh`` hands each matrix to LAPACK's zheevd with
-    UPLO='L', which reads only r00, r10 and r11.  For a real r10 its
-    Householder step is the identity, so dsterf gets d = (r00, r11) and
-    e = r10.  dsterf keeps the diagonal when e passes either of its split
-    tests; otherwise dlae2 gives the pair (rt1, rt2).  These are LAPACK's
-    operations in LAPACK's order, so on the build they were checked on the
-    pair, a (2, ...) array, is the one dlasrt then sorts, bit for bit,
-    wherever no entry lies outside about 1e-122..1e146, where LAPACK
-    rescales first.
+    numpy's eigenvalues-only Hermitian solve hands each matrix to LAPACK's
+    zheevd with UPLO='L', which reads only r00, r10 and r11.  For a real
+    r10 its Householder step is the identity, so dsterf gets d = (r00, r11)
+    and e = r10.  dsterf keeps the diagonal when e passes either of its
+    split tests; otherwise dlae2 gives the pair (rt1, rt2).  These are
+    LAPACK's operations in LAPACK's order, so on the build they were
+    checked on the pair, a (2, ...) array, is the one dlasrt then sorts,
+    bit for bit, wherever no entry lies outside about 1e-122..1e146, where
+    LAPACK rescales first.
     """
     d1, d2, e = r[..., 0, 0], r[..., 1, 1], r[..., 1, 0]
     a1, a2 = np.abs(d1), np.abs(d2)
@@ -99,9 +100,7 @@ def entropy_of_states(states: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho) -> float:
     """-Tr(rho ln rho) for a valid density matrix; lies in [0, ln d]."""
-    a = validate_density(rho)
-    w = np.linalg.eigvalsh((a + dagger(a)) / 2.0)
-    return float(entropy_from_eigenvalues(w))
+    return float(entropy_of_states(validate_density(rho)))
 
 
 # The one message for a non-Hermitian probe: the rate bound holds only for L = L^dag.
@@ -139,13 +138,14 @@ def quantumness(decoherence, rho) -> float:
     m = as_operator(decoherence, "decoherence")
     r = validate_density(rho)
     check_same_dim(m, r)
-    val = np.trace((dagger(m) @ m - m @ dagger(m)) @ r)
-    return float(val.real)
+    return float(np.trace(commutator(dagger(m), m) @ r).real)
 
 
 def _floored_log(rho: np.ndarray, floor: float) -> np.ndarray:
-    """log_density plus a guard against floor-induced entropy distortion."""
-    w = np.linalg.eigvalsh((rho + dagger(rho)) / 2.0)
+    """The floored log of a validated state, unless the floor shifts its entropy."""
+    dec = hermitian_eig(rho)
+    log_rho = dec.floored(np.log, floor)  # checks the floor before the guard reads the spectrum
+    w = dec.eigenvalues
     shift = abs(
         float(entropy_from_eigenvalues(np.maximum(w, floor)))
         - float(entropy_from_eigenvalues(w))
@@ -155,7 +155,7 @@ def _floored_log(rho: np.ndarray, floor: float) -> np.ndarray:
             f"state too singular: eigenvalue floor {floor:.1e} would shift its "
             f"entropy by {shift:.3e}"
         )
-    return log_density(rho, floor)
+    return log_rho
 
 
 def dissipator_entropy_gap(a, rho, floor: float = EIG_FLOOR) -> float:
@@ -170,7 +170,7 @@ def dissipator_entropy_gap(a, rho, floor: float = EIG_FLOOR) -> float:
     check_same_dim(a, r)
     log_rho = _floored_log(r, floor)
     production = -np.trace(dissipator(a, r) @ log_rho).real
-    return float(production - quantumness(a, r))
+    return float(production - np.trace(commutator(dagger(a), a) @ r).real)
 
 
 def ito_correction_terms(probe, rho, floor: float = EIG_FLOOR) -> tuple[float, float]:
@@ -181,7 +181,7 @@ def ito_correction_terms(probe, rho, floor: float = EIG_FLOOR) -> tuple[float, f
     """
     l, r = bound_inputs(probe, rho)
     b = innovation(l, r)
-    quad = np.trace(inverse_density(r, floor) @ b @ b).real
+    quad = np.trace(matrix_function(r, lambda w: 1.0 / w, floor) @ b @ b).real
     return float(quad), 4.0 * _variance(l, r)
 
 

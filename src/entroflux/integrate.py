@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import entropy_of_states
-from .linalg import ValidationError, as_operator, dagger, require_integer, validate_density
+from .linalg import (ValidationError, _check_densities, as_operator, dagger, require_integer,
+                     validate_density)
 from .model import ModelSpec
 
 # A trajectory whose accumulated clipped mass exceeds this is flagged as
@@ -543,17 +544,15 @@ def integrate_master_equation(
             if k:
                 v = advance @ v
             mat = v.reshape(rho.shape)
-            try:
-                states.append(
-                    validate_density(0.5 * (mat + dagger(mat)), eig_tol=1e-9, trace_tol=1e-9)
-                )
-            except ValidationError as err:
-                step = k * cfg.record_stride
-                raise IntegrationError(
-                    f"master equation state invalid at step {step}: {err}", step=step
-                ) from None
-
-    states = np.array(states)
+            states.append(0.5 * (mat + dagger(mat)))
+        states = np.array(states)
+        try:
+            _check_densities(states, eig_tol=1e-9, trace_tol=1e-9)
+        except ValidationError as err:
+            step = err.index * cfg.record_stride
+            raise IntegrationError(
+                f"master equation state invalid at step {step}: {err}", step=step
+            ) from None
     zeros = np.zeros(len(states))
     return TrajectoryRecord(
         times=cfg.checkpoint_times,

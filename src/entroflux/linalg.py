@@ -147,6 +147,13 @@ class SpectralDecomposition:
     def reconstruct(self) -> np.ndarray:
         return (self.vectors * self.eigenvalues) @ dagger(self.vectors)
 
+    def floored(self, f, floor: float) -> np.ndarray:
+        """The Hermitian matrix of ``f`` on the spectrum lifted to ``floor``, which must be > 0."""
+        if not floor > 0:
+            raise ValidationError("floor must be positive")
+        out = (self.vectors * f(np.maximum(self.eigenvalues, floor))) @ dagger(self.vectors)
+        return (out + dagger(out)) / 2.0
+
 
 def hermitian_eig(m) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix, eigenvalues descending.
@@ -163,12 +170,7 @@ def hermitian_eig(m) -> SpectralDecomposition:
 
 def matrix_function(rho, f, floor: float = EIG_FLOOR) -> np.ndarray:
     """Apply the scalar function ``f`` to the floored spectrum of ``rho``."""
-    if not floor > 0:
-        raise ValidationError("floor must be positive")
-    dec = hermitian_eig(rho)
-    w = np.maximum(dec.eigenvalues, floor)
-    out = (dec.vectors * f(w)) @ dagger(dec.vectors)
-    return (out + dagger(out)) / 2.0
+    return hermitian_eig(rho).floored(f, floor)
 
 
 def log_density(rho, floor: float = EIG_FLOOR) -> np.ndarray:
@@ -231,6 +233,7 @@ def random_density(dim: int, min_eig: float = 0.0, seed: int = 0) -> np.ndarray:
     with the maximally mixed state to enforce the eigenvalue floor.
     Deterministic for a given seed.
     """
+    require_integer(dim, "dim")
     if dim < 2:
         raise ValidationError(f"dimension must be >= 2, got {dim}")
     if not 0.0 <= min_eig < 1.0 / dim:

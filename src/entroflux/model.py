@@ -23,6 +23,7 @@ from .linalg import (
     ValidationError,
     as_operator,
     check_same_dim,
+    commutator,
     dagger,
     require_hermitian,
     require_integer,
@@ -98,6 +99,8 @@ class ModelSpec:
 
     def __post_init__(self):
         require_integer(self.dim, "dim")
+        if self.dim < 2:
+            raise ValidationError(f"dim must be >= 2, got {self.dim}")
         h = as_operator(self.hamiltonian, "hamiltonian")
         l = as_operator(self.probe, "probe")
         m = as_operator(self.decoherence, "decoherence")
@@ -131,8 +134,7 @@ class ModelSpec:
     @cached_property
     def quantumness_operator(self) -> np.ndarray:
         """[M^dag, M], whose expectation is the quantumness of the decoherence."""
-        m = self.decoherence
-        return dagger(m) @ m - m @ dagger(m)
+        return commutator(dagger(self.decoherence), self.decoherence)
 
     @cached_property
     def generator(self) -> np.ndarray:
@@ -173,10 +175,11 @@ def sme_increment(model: ModelSpec, rho, dt: float, dW: float) -> np.ndarray:
     Returns (-i[uH, rho] + D[L] rho + D[M] rho) dt + H[L] rho dW with
     u = evaluate_control(model.control, rho).  The result is traceless.
     """
-    if not dt > 0:
-        raise ValidationError("dt must be positive")
-    r = validate_density(rho)
-    return lindblad_rhs(model, r) * dt + innovation(model.probe, r) * dW
+    if not 0 < dt < math.inf:
+        raise ValidationError("dt must be positive and finite")
+    if not math.isfinite(dW):
+        raise ValidationError("dW must be finite")
+    return lindblad_rhs(model, rho) * dt + innovation(model.probe, rho) * dW
 
 
 def lindblad_rhs(model: ModelSpec, rho) -> np.ndarray:

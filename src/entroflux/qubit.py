@@ -102,8 +102,8 @@ def z_threshold(alpha: float) -> float:
     bound nonnegative for the qubit model.  Written in the cancellation-
     free form 8 / (sqrt(alpha^2 + 64) + alpha).
     """
-    if not alpha >= 0:
-        raise ValidationError("alpha must be nonnegative")
+    if not 0 <= alpha < math.inf:
+        raise ValidationError("alpha must be nonnegative and finite")
     if alpha > 1e100:
         # alpha * alpha overflows above about 1.3e154; from 1e100 up, where
         # it is finite, the form below rounds to 4 / alpha bit for bit

@@ -102,15 +102,18 @@ PINNED_BUILD = ("2.4.6", "scipy-openblas 0.3.31.188.0")
 @pytest.mark.skipif((np.__version__, _blas()) != PINNED_BUILD,
                     reason="bench/reference.json pins the bytes of numpy 2.4.6 on "
                            "scipy-openblas 0.3.31.188.0")
-@pytest.mark.parametrize("name", ["qubit_trajectory_csv", "qubit_long_horizon", "explicit_d4"])
+@pytest.mark.parametrize("name", ["qubit_trajectory_csv", "qubit_long_horizon", "explicit_d4",
+                                  "qubit_readme"])
 def test_outputs_match_the_pinned_reference(bench, name, tmp_path):
     # the qubit workloads take the closed-form 2x2 repair, in 32-row and
-    # 256-row batches, the d=4 one the general eigenvalue repair
+    # 256-row batches, the d=4 one the general eigenvalue repair;
+    # qubit_readme, the one pool workload, runs its 20 chunks on 2 workers
     with open(os.path.join(os.path.dirname(TRACER), "reference.json"), encoding="utf-8") as fh:
         want = json.load(fh)[name]["0"]
     w = bench.workloads.WORKLOADS[name]
     config = tmp_path / "c.json"
     config.write_text(json.dumps(w.config(0)))
     out = tmp_path / "out"
-    assert cli.main(w.cli_args(str(config), 0, str(out), workers=1)) == 0
+    workers = 2 if name == "qubit_readme" else 1
+    assert cli.main(w.cli_args(str(config), 0, str(out), workers=workers)) == 0
     assert bench.outputs.digest_outputs(str(out)) == want

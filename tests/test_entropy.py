@@ -29,7 +29,7 @@ from entroflux.linalg import (
     random_hermitian,
     random_operator,
 )
-from entroflux.model import ControlLaw, ModelSpec, dissipator
+from entroflux.model import ControlLaw, ModelSpec, dissipator, sme_increment
 from entroflux.qubit import (
     SIGMA_MINUS,
     SIGMA_X,
@@ -83,6 +83,45 @@ class TestVonNeumannEntropy:
     def test_invalid_state_rejected(self):
         with pytest.raises(ValidationError):
             von_neumann_entropy(np.diag([0.8, 0.8]))
+
+    @pytest.mark.parametrize("d, real", [(2, True), (2, False), (3, False), (4, False)])
+    def test_is_entropy_of_states_bit_for_bit(self, d, real):
+        for seed in range(50):
+            rho = random_density(d, seed=seed)
+            rho = rho.real.astype(complex) if real else rho
+            assert von_neumann_entropy(rho).hex() == float(entropy_of_states(rho)).hex()
+
+
+def _count_eigensolves(monkeypatch, call) -> int:
+    """How many times ``call()`` runs numpy's Hermitian eigensolvers."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _solve=getattr(np.linalg, name), **kwargs):
+            calls.append(name)
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    call()
+    return len(calls)
+
+
+@pytest.mark.parametrize("call, most", [
+    pytest.param(lambda rho, a, l: dissipator_entropy_gap(a, rho), 2, id="dissipator_entropy_gap"),
+    pytest.param(lambda rho, a, l: log_inequality_gap(rho), 3, id="log_inequality_gap"),
+    pytest.param(lambda rho, a, l: ito_correction_terms(l, rho), 2, id="ito_correction_terms"),
+])
+def test_one_validation_and_one_spectrum_per_state(monkeypatch, call, most):
+    # one solve validates the state, one decomposes it for the floored log
+    # or inverse; log_inequality_gap adds the gap matrix's smallest eigenvalue
+    rng = np.random.default_rng(5)
+    rho = random_density(3, min_eig=0.05, seed=5)
+    a, l = random_operator(3, rng), random_hermitian(3, rng)
+    assert _count_eigensolves(monkeypatch, lambda: call(rho, a, l)) <= most
+
+
+def test_an_sme_increment_validates_its_state_once(monkeypatch):
+    model = qubit_model(QubitScenario(kappa=1.0, alpha=6.0))
+    plus = bloch_to_density([1.0, 0.0, 0.0])
+    assert _count_eigensolves(monkeypatch, lambda: sme_increment(model, plus, 1e-3, 0.01)) <= 1
 
 
 class TestObservableVariance:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from entroflux.entropy import dissipator_entropy_gap, log_inequality_gap
 from entroflux.linalg import (
     SpectralDecomposition,
     ValidationError,
@@ -148,6 +149,11 @@ class TestRandomDensity:
         with pytest.raises(ValidationError, match="min_eig"):
             random_density(2, min_eig=0.6, seed=0)
 
+    @pytest.mark.parametrize("dim", [2.0, True])
+    def test_rejects_a_non_integer_dim(self, dim):
+        with pytest.raises(ValidationError, match=f"dim must be an integer, got {dim!r}"):
+            random_density(dim)
+
 
 class TestValidateDensity:
     def test_rejects_bad_trace(self):
@@ -281,8 +287,11 @@ def test_spectral_decomposition_is_frozen():
 
 @pytest.mark.parametrize("floor", [0.0, -1e-12, float("nan")])
 def test_matrix_functions_reject_a_nonpositive_floor(floor):
+    mixed = np.eye(2) / 2
     for fn in (lambda: log_density(KET0, floor=floor), lambda: inverse_density(KET0, floor=floor),
-               lambda: matrix_function(KET0, np.log, floor=floor)):
+               lambda: matrix_function(KET0, np.log, floor=floor),
+               lambda: dissipator_entropy_gap(SIGMA_MINUS, mixed, floor=floor),
+               lambda: log_inequality_gap(mixed, floor=floor)):
         with pytest.raises(ValidationError, match="floor must be positive"):
             fn()
 

@@ -126,10 +126,15 @@ class TestControl:
 
 
 class TestSmeIncrement:
-    @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan")])
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf")])
     def test_rejects_bad_dt(self, dt):
         with pytest.raises(ValidationError, match="dt must be positive"):
             sme_increment(qubit_spec(), MIXED, dt=dt, dW=0.1)
+
+    @pytest.mark.parametrize("dW", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_a_non_finite_dW(self, dW):
+        with pytest.raises(ValidationError, match="dW must be finite"):
+            sme_increment(qubit_spec(), MIXED, dt=1e-3, dW=dW)
 
     def test_fixed_point_of_all_terms(self):
         spec = qubit_spec(kappa=1.0, gamma=0.0)
@@ -221,6 +226,12 @@ class TestModelSpec:
         with pytest.raises(ValidationError, match=f"dim must be an integer, got {dim!r}"):
             ModelSpec(dim=dim, hamiltonian=SIGMA_Y.copy(),
                       probe=SIGMA_Z.copy(), decoherence=SIGMA_MINUS.copy())
+
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_rejects_a_dim_below_two(self, dim):
+        eye = np.eye(dim, dtype=complex)
+        with pytest.raises(ValidationError, match=f"dim must be >= 2, got {dim}"):
+            ModelSpec(dim=dim, hamiltonian=eye, probe=eye, decoherence=eye)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValidationError, match="shape"):

@@ -111,7 +111,7 @@ class TestThreshold:
             thr = z_threshold(float(alpha))
             assert abs(4.0 * thr * thr + alpha * thr - 4.0) <= 1e-10
 
-    @pytest.mark.parametrize("alpha", [-1.0, float("nan")])
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
     def test_rejects_negative_or_nan(self, alpha):
         with pytest.raises(ValidationError, match="alpha must be nonnegative"):
             z_threshold(alpha)
